@@ -1,0 +1,157 @@
+"""Golden outputs: the repaired CSV bytes and the change log of fixed-seed
+repairs, pinned by sha256.
+
+Any engine change that alters one output byte for a given seed fails here.
+A case whose repair raises pins the exception's name instead of digests.
+Run as a script, ``python3 tests/test_golden.py <case index>`` prints the
+digests of one case (the hash-seed test repeats a case that way in a child
+interpreter), and ``python3 tests/test_golden.py all`` prints every case in
+the form pinned below.
+"""
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+import pytest
+
+import fdrepair
+from fdrepair import GenConfig, generate, load_csv, save_csv, swipe
+from fdrepair.swipe import RepairInvariantError
+
+# (rows, attrs, generator seed, repair function, null_equals_null, NULL rate)
+CASES = [
+    (60, 4, 0, "mv", True, 0.0),
+    (60, 4, 1, "wv", True, 0.0),
+    (60, 4, 2, "max", True, 0.0),
+    (80, 5, 3, "mv", False, 0.0),
+    (80, 5, 4, "wv", False, 0.0),
+    (80, 5, 5, "max", False, 0.0),
+    (100, 6, 6, "mv", True, 0.1),
+    (100, 6, 7, "wv", True, 0.1),
+    (100, 6, 8, "max", True, 0.1),
+    (120, 6, 9, "mv", False, 0.1),
+    (120, 6, 10, "wv", False, 0.1),
+    (120, 6, 11, "max", False, 0.1),
+    (1000, 5, 12, "mv", True, 0.0),
+    (1000, 8, 13, "wv", False, 0.1),
+    (400, 3, 14, "max", True, 0.1),
+    (300, 12, 15, "mv", True, 0.0),
+    (300, 12, 16, "wv", False, 0.1),
+    (200, 25, 17, "mv", True, 0.1),
+    (200, 25, 18, "max", False, 0.0),
+    (500, 7, 19, "wv", True, 0.1),
+]
+
+GOLDEN = [
+    "csv:baa8fbb566dd6aff log:5a38d5c7c039721c",
+    "csv:8ff7f48d8bc8c3f3 log:438086340f1f0c62",
+    "csv:7e31c809ca2f3847 log:69686388ad0f9243",
+    "csv:2c9f00e82fb132ac log:3736971417f631d4",
+    "csv:b17e04d60df4c4f4 log:e69d1dd118dc72d8",
+    "csv:8709d22d82b4e475 log:1cb801d48fca4ccf",
+    "csv:12ce79e85b1ff698 log:785a0213a4c268b9",
+    "csv:f14b1f6a26aad7e7 log:06778023c9bd6751",
+    "csv:b4cf9b12442d6906 log:662838c6ca33cad4",
+    "csv:0e13281cf3635af6 log:f76c123218392eb1",
+    "csv:fd0807e6c2356496 log:8d7fa87e29afa93f",
+    "csv:21371b97f92b2864 log:17c297349319b20d",
+    "csv:926643dd176a8a83 log:77d80ecd8a9f17a5",
+    "csv:d2f43776332d22e6 log:b32c6aade745ddcf",
+    "csv:2178f12f324c702e log:12f4cc2e1c4c3213",
+    "csv:6cffbea0a1551aff log:63588c41e4a46861",
+    "csv:1d535cd8aa0c890a log:95ee43f60c2feeb5",
+    "csv:2b6a774238713c87 log:0267b966a2e5be06",
+    "csv:d960e676bcb37d4e log:89faef0c82951db0",
+    "csv:beb5cb844909accb log:5644ec02b7a1e1c0",
+]
+
+# the case whose relation is reloaded through a shuffled --tid-column
+SHUFFLED_CASE = 7
+SHUFFLED_GOLDEN = "csv:e5e0cf98f98c6a68 log:c920f5a3e774b751"
+
+
+def instance(rows, attrs, seed, null_rate):
+    rel, fds = generate(GenConfig(rows, attrs, seed=seed))
+    if null_rate:
+        rng = random.Random(seed)
+        for tid in rel.tids:
+            for a in rel.schema.attributes:
+                if rng.random() < null_rate:
+                    rel.set(tid, a, None)
+    return rel, fds
+
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def repair_digest(rel, fds, fn, null_equals_null, seed, tmp_dir,
+                  tid_column=None):
+    """"csv:<digest> log:<digest>" of one repair, or the exception name."""
+    try:
+        out = swipe(rel, fds, repair_fn=fn, seed=seed,
+                    null_equals_null=null_equals_null)
+    except RepairInvariantError as exc:
+        return type(exc).__name__
+    path = os.path.join(tmp_dir, "repaired.csv")
+    save_csv(out.repaired, path, tid_column=tid_column)
+    with open(path, "rb") as fh:
+        csv_digest = sha(fh.read())
+    return "csv:%s log:%s" % (csv_digest, sha(repr(out.change_log).encode()))
+
+
+def case_digest(i, tmp_dir):
+    rows, attrs, seed, fn, nen, null_rate = CASES[i]
+    rel, fds = instance(rows, attrs, seed, null_rate)
+    return repair_digest(rel, fds, fn, nen, seed, tmp_dir)
+
+
+def shuffled_digest(tmp_dir):
+    """The SHUFFLED_CASE relation written with unsorted tids in a tid
+    column, loaded back through ``load_csv(tid_column=...)`` and repaired."""
+    rows, attrs, seed, fn, nen, null_rate = CASES[SHUFFLED_CASE]
+    rel, fds = instance(rows, attrs, seed, null_rate)
+    tids = random.Random(seed).sample(range(1, 10 * rows), rows)
+    path = os.path.join(tmp_dir, "shuffled.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["tid"] + rel.schema.attributes) + "\n")
+        for tid, row in zip(tids, rel.rows):
+            fh.write(",".join([str(tid)] + ["" if c is None else c
+                                            for c in row]) + "\n")
+    loaded = load_csv(path, tid_column="tid")
+    assert loaded.tids == tids
+    return repair_digest(loaded, fds, fn, nen, seed, tmp_dir, tid_column="tid")
+
+
+@pytest.mark.parametrize("i", range(len(CASES)))
+def test_golden_output(i, tmp_path):
+    assert case_digest(i, str(tmp_path)) == GOLDEN[i]
+
+
+def test_golden_output_shuffled_tid_column(tmp_path):
+    assert shuffled_digest(str(tmp_path)) == SHUFFLED_GOLDEN
+
+
+def test_golden_output_other_hash_seed():
+    # strings hash differently per process; output must not depend on that
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "12345"
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fdrepair.__file__))
+    proc = subprocess.run([sys.executable, __file__, "13"], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    assert proc.stdout.strip() == GOLDEN[13]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        if sys.argv[1:] == ["all"]:
+            for i in range(len(CASES)):
+                print("    %r," % case_digest(i, tmp))
+            print("SHUFFLED_GOLDEN = %r" % shuffled_digest(tmp))
+        else:
+            print(case_digest(int(sys.argv[1]), tmp))
