@@ -14,9 +14,9 @@ from .fds import (FD, attribute_closure, implies, load_fds, minimal_cover,
 from .partition import (Partition, Preorder, assert_maximally_refined,
                         build_preorder, check_forward_repairable,
                         induced_partition)
-from .priority import (RepairStats, estimate_priority, fix, majority_value,
-                       pilot_fds, priority_repair, skip_revision_unary,
-                       update_dsf, vio, vio_fd)
+from .priority import (RepairStats, estimate_priority, fix, pilot_fds,
+                       priority_repair, skip_revision_unary, update_dsf, vio,
+                       vio_fd)
 from .relation import Relation, Schema, SchemaError, load_csv, save_csv
 from .repair_functions import (BUILTINS, RepairFunction, get_function,
                                is_preservative, majority_vote, max_value,
@@ -31,7 +31,7 @@ __all__ = [
     "assert_maximally_refined", "attribute_closure", "build_preorder",
     "check_forward_repairable", "estimate_priority", "evaluate", "fix",
     "generate", "get_function", "implies", "induced_partition",
-    "is_preservative", "load_csv", "load_fds", "majority_value",
+    "is_preservative", "load_csv", "load_fds",
     "majority_vote", "max_value", "minimal_cover", "parse_fd", "parse_fds",
     "pilot_fds", "priority_repair", "project_fds", "resolve_functions",
     "save_csv", "save_fds", "skip_revision_unary", "swipe", "update_dsf",

@@ -15,7 +15,7 @@ from .partition import (build_preorder, check_forward_repairable,
                         fds_entering_at, induced_partition)
 from .priority import estimate_priority, pilot_fds
 from .relation import load_csv, save_csv
-from .swipe import swipe
+from .swipe import RepairInvariantError, swipe
 
 
 def _load_inputs(args):
@@ -98,7 +98,9 @@ def cmd_partition(args):
     rel, fds = _load_inputs(args)
     cover = minimal_cover(fds)
     part = induced_partition(build_preorder(cover, rel.schema), rel.schema)
-    assert check_forward_repairable(part, cover)
+    if not check_forward_repairable(part, cover):
+        raise RepairInvariantError("partition %s is not forward-repairable"
+                                   % part.classes)
     for i, cls in enumerate(part.classes, start=1):
         print("C%d: %s" % (i, ", ".join(cls)))
         fds_i = fds_entering_at(cover, part, i)

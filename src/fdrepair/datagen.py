@@ -31,11 +31,9 @@ def generate(cfg):
     """Deterministically generate a (Relation, FD list) pair from ``cfg``."""
     rng = random.Random(cfg.seed)
     attrs = ["a%d" % i for i in range(1, cfg.n_attrs + 1)]
-    schema = Schema(attrs)
-    rel = Relation(schema)
-    for tid in range(1, cfg.n_rows + 1):
-        rel.append(tid, [str(rng.randrange(cfg.domain_size))
-                         for _ in range(cfg.n_attrs)])
+    rows = [[str(rng.randrange(cfg.domain_size)) for _ in range(cfg.n_attrs)]
+            for _ in range(cfg.n_rows)]
+    rel = Relation(Schema(attrs), range(1, cfg.n_rows + 1), rows)
 
     max_lhs = math.ceil(cfg.n_attrs / 10)
     fds = []

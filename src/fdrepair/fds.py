@@ -7,7 +7,9 @@ closures; minimal covers are computed deterministically given input order.
 
 from dataclasses import dataclass
 
-from .relation import SchemaError
+import numpy as np
+
+from .relation import NULL, SchemaError
 
 
 @dataclass(frozen=True)
@@ -97,30 +99,64 @@ def project_fds(fds, z):
 
 
 def group_rows(rel, attrs, null_equals_null=True):
-    """Map lhs value vector -> list of tids, in row order.
+    """Group the rows by their ``attrs`` values: (ids, may).
 
-    With ``null_equals_null`` off, a NULL in a grouping key makes the key
-    unique to its row, so NULLs never group together.
+    ``ids`` gives each row a small non-negative group id, equal for two rows
+    exactly when their values on ``attrs`` are equal. ``may`` marks the rows
+    that may group with others: all of them, or, with ``null_equals_null``
+    off, those without a NULL in ``attrs``, since a NULL key never matches
+    any other key, NULL included.
     """
-    idx = rel.schema.indices(attrs)
-    groups = {}
-    for tid, row in zip(rel.tids, rel.rows):
-        key = tuple(row[i] for i in idx)
-        if not null_equals_null and any(v is None for v in key):
-            key = key + ("\0tid", tid)
-        groups.setdefault(key, []).append(tid)
-    return groups
+    n = len(rel)
+    ids = np.zeros(n, dtype=np.int64)
+    may = np.ones(n, dtype=bool)
+    size = 1  # ids < size
+    for a in attrs:
+        codes = rel.codes(a)
+        ids = ids * len(rel.values(a)) + codes
+        size *= len(rel.values(a))
+        if size > 2 * n + 2:  # keep ids below 2n + 2, products in int64
+            uniq, ids = np.unique(ids, return_inverse=True)
+            size = len(uniq)
+        if not null_equals_null:
+            may &= codes != NULL
+    return ids, may
+
+
+def mixed_rows(groups, codes):
+    """Mask of the rows whose group (``groups``, small non-negative ids)
+    shows two or more distinct ``codes``."""
+    if not len(groups):
+        return np.zeros(0, dtype=bool)
+    codes = codes.astype(np.int64)
+    least = np.full(groups.max() + 1, np.iinfo(np.int64).max)
+    most = np.full(groups.max() + 1, -1)
+    np.minimum.at(least, groups, codes)
+    np.maximum.at(most, groups, codes)
+    return (least != most)[groups]
 
 
 def violates(rel, fd, null_equals_null=True):
-    """Tid groups sharing lhs values but showing >= 2 distinct rhs values."""
-    rhs_i = rel.schema.index(fd.rhs)
-    bad = []
-    for tids in group_rows(rel, sorted(fd.lhs), null_equals_null).values():
-        values = {tuple_row[rhs_i] for tuple_row in (rel.row_of(t) for t in tids)}
-        if len(values) > 1:
-            bad.append(tids)
-    return bad
+    """Tid groups sharing lhs values but showing >= 2 distinct rhs values.
+
+    Groups come in order of their first row and list their tids in row
+    order. Only violated groups are materialised as tid lists, as in a
+    stripped-partition check.
+    """
+    ids, may = group_rows(rel, sorted(fd.lhs), null_equals_null)
+    rows = np.flatnonzero(may)
+    ids = ids[rows]
+    bad = mixed_rows(ids, rel.codes(fd.rhs)[rows])
+    if not bad.any():
+        return []
+    rows, ids = rows[bad], ids[bad]
+    _, first, group_of = np.unique(ids, return_index=True, return_inverse=True)
+    first = first[group_of]  # position of each row's first group member
+    order = np.argsort(first, kind="stable")
+    rows, first = rows[order], first[order]
+    cuts = np.flatnonzero(np.diff(first)) + 1
+    return [[rel.tids[i] for i in part.tolist()]
+            for part in np.split(rows, cuts)]
 
 
 def parse_fd(line, schema=None):

@@ -14,14 +14,34 @@ more attributes share one forest, built from every FD of the class before
 the first poll, which is what makes the skip sound there (see
 ``shares_forest``). A closing sweep re-enqueues anything still violated
 as a backstop.
+
+All of it runs on the relation's integer codes. One grouping primitive,
+``group_rows``, turns an lhs into group ids: Vio counts values per (group,
+value) pair, ``update_dsf`` merges each group into the forest in bulk, and
+``fix`` finds the forest classes holding two or more rhs values with array
+operations. The repair function is still called once per such class,
+classes in order of their least tid and bags in tid order, and Vio ties
+draw in order of each group's first row, so results and the seeded rng
+stream are those of a row-by-row run.
 """
 
 import heapq
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from .dsf import DisjointSetForest
-from .fds import group_rows, violates
+from .fds import group_rows, mixed_rows, violates
+from .relation import NULL
+
+
+class RepairInvariantError(AssertionError):
+    """A repair broke one of its invariants: the final satisfaction sweep
+    found a violated FD, the partition is not forward-repairable, or a class
+    repair ran past its iteration bound."""
 
 
 @dataclass
@@ -35,47 +55,114 @@ class RepairStats:
     priority: list = field(default_factory=list)
 
 
-def majority_value(rel, lhs, x_value, a, rng, null_equals_null=True):
-    """Highest-multiplicity value of ``a`` among tuples with lhs == x_value."""
-    groups = group_rows(rel, sorted(lhs), null_equals_null)
-    key = tuple(x_value)
-    if key not in groups:
-        raise ValueError("no tuples with %r = %r" % (sorted(lhs), x_value))
-    return _group_majority(rel, groups[key], a, rng)
+class ChangeLog(Sequence):
+    """The (tid, attribute, old value, new value) records of a repair, in the
+    order the cells changed. Fixes record whole arrays of codes; the tuples
+    are only built when the log is read."""
+
+    def __init__(self):
+        self._parts = []  # (tids, attribute, code -> value list, old, new)
+        self._records = None
+
+    def record(self, tids, attr, values, old, new):
+        self._parts.append((tids, attr, values, old, new))
+        self._records = None
+
+    def _decoded(self):
+        if self._records is None:
+            self._records = []
+            for tids, attr, values, old, new in self._parts:
+                self._records.extend(zip(
+                    tids.tolist(), repeat(attr),
+                    map(values.__getitem__, old.tolist()),
+                    map(values.__getitem__, new.tolist())))
+        return self._records
+
+    def __len__(self):
+        return sum(len(part[0]) for part in self._parts)
+
+    def __getitem__(self, i):
+        return self._decoded()[i]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._decoded() == list(other)
+
+    def __repr__(self):
+        return repr(self._decoded())
 
 
-def _group_majority(rel, tids, a, rng):
-    counts = Counter(rel.get(t, a) for t in tids)
-    best = max(counts.values())
-    tied = sorted({v for v, c in counts.items() if c == best},
-                  key=lambda v: (v is None, v))
-    if len(tied) == 1:
-        return tied[0]
-    return rng.choice(tied)
+def _minority_rows(rel, fd, rng, null_equals_null):
+    """Mask of the rows whose rhs value differs from their lhs group's
+    majority value.
+
+    Several values sharing a group's top count are sorted with NULL last
+    and settled by ``rng.choice``; such groups draw in order of their first
+    row. Rows that may not group (NULL keys under NULL-unequal semantics)
+    are groups of one and never differ.
+    """
+    minority = np.zeros(len(rel), dtype=bool)
+    ids, may = group_rows(rel, sorted(fd.lhs), null_equals_null)
+    rows = np.flatnonzero(may)
+    if not len(rows):
+        return minority
+    values = rel.values(fd.rhs)
+    k = len(values)
+    codes = rel.codes(fd.rhs)[rows]
+    pairs, pair_of_row, counts = np.unique(
+        ids[rows] * k + codes, return_inverse=True, return_counts=True)
+    group = np.unique(pairs // k, return_inverse=True)[1]  # of each pair
+    top = np.zeros(group[-1] + 1, dtype=counts.dtype)
+    np.maximum.at(top, group, counts)
+    is_top = counts == top[group]
+    n_top = np.bincount(group[is_top])
+    winner = np.zeros(len(top), dtype=np.int64)
+    winner[group[is_top]] = pairs[is_top] % k
+    tied = np.flatnonzero(n_top > 1)
+    if len(tied):
+        first = np.full(len(top), len(rows))
+        np.minimum.at(first, group[pair_of_row], np.arange(len(rows)))
+        candidates = {}
+        for pair in np.flatnonzero(is_top & (n_top[group] > 1)).tolist():
+            candidates.setdefault(int(group[pair]), []).append(
+                int(pairs[pair] % k))
+        for g in tied[np.argsort(first[tied])].tolist():
+            winner[g] = rng.choice(sorted(candidates[g], key=lambda c: (
+                c == NULL, values[c])))
+    minority[rows] = codes != winner[group[pair_of_row]]
+    return minority
+
+
+def _tids_of(rel, mask):
+    return {rel.tids[i] for i in np.flatnonzero(mask).tolist()}
+
+
+def _vio_rows(rel, a, cover, rng, null_equals_null):
+    minority = np.zeros(len(rel), dtype=bool)
+    for fd in cover:
+        if fd.rhs == a:
+            minority |= _minority_rows(rel, fd, rng, null_equals_null)
+    return minority
 
 
 def vio_fd(rel, fd, rng, null_equals_null=True):
     """Tuples whose rhs value differs from the per-group majority."""
-    out = set()
-    for tids in group_rows(rel, sorted(fd.lhs), null_equals_null).values():
-        mv = _group_majority(rel, tids, fd.rhs, rng)
-        out.update(t for t in tids if rel.get(t, fd.rhs) != mv)
-    return out
+    return _tids_of(rel, _minority_rows(rel, fd, rng, null_equals_null))
 
 
 def vio(rel, a, cover, rng, null_equals_null=True):
     """Union of vio_fd over all cover FDs with rhs == a."""
-    out = set()
-    for fd in cover:
-        if fd.rhs == a:
-            out |= vio_fd(rel, fd, rng, null_equals_null)
-    return out
+    return _tids_of(rel, _vio_rows(rel, a, cover, rng, null_equals_null))
 
 
 def estimate_priority(rel, class_attrs, cover, rng, null_equals_null=True):
     """Class attributes ordered for repair: larger |Vio| first, then by
     schema index. Returns (ordered attributes, per-attribute |Vio|)."""
-    sizes = {a: len(vio(rel, a, cover, rng, null_equals_null))
+    sizes = {a: int(_vio_rows(rel, a, cover, rng, null_equals_null).sum())
              for a in class_attrs}
     order = sorted(class_attrs,
                    key=lambda a: (-sizes[a], rel.schema.index(a)))
@@ -99,45 +186,53 @@ def pilot_fds(class_attrs, fds_i, priority=None):
 
 def update_dsf(rel, fd, dsf, null_equals_null=True):
     """Merge forest classes so tuples with equal lhs values share a root."""
-    idx = rel.schema.indices(sorted(fd.lhs))
-    roots = {}
-    for tid, row in zip(rel.tids, rel.rows):
-        key = tuple(row[i] for i in idx)
-        if not null_equals_null and any(v is None for v in key):
-            continue  # NULL keys never match anything, including each other
-        root = roots.get(key)
-        if root is None:
-            roots[key] = dsf.find(tid)
-        else:
-            dsf.union(tid, root)
-            roots[key] = dsf.find(tid)
+    ids, may = group_rows(rel, sorted(fd.lhs), null_equals_null)
+    dsf.merge(dsf.slots(rel.tids)[may], ids[may])
 
 
 def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
         null_equals_null=True):
     """Fix violations of ``fd``: after updating the forest, rewrite every
     class showing more than one rhs value with the repair function.
-    Returns the number of violated classes."""
+    Returns the number of violated classes.
+
+    Classes go to the repair function in order of their least tid, each
+    bag's values and NULL counts in tid order, and so does the change log.
+    """
     update_dsf(rel, fd, dsf, null_equals_null)
-    rhs_i = rel.schema.index(fd.rhs)
+    codes = rel.codes(fd.rhs)
+    comp = dsf.roots()[dsf.slots(rel.tids)]
+    rows = np.flatnonzero(mixed_rows(comp, codes))
+    if not len(rows):
+        return 0
+    tids = np.asarray(rel.tids)[rows]
+    order = np.lexsort((tids, comp[rows]))  # by class, then tid
+    rows, tids = rows[order], tids[order]
+    starts = np.flatnonzero(np.diff(comp[rows], prepend=-1))
+    least = np.repeat(tids[starts], np.diff(np.append(starts, len(rows))))
+    order = np.argsort(least, kind="stable")  # classes by least tid
+    rows, tids = rows[order], tids[order]
+    bounds = np.flatnonzero(np.diff(comp[rows], prepend=-1)).tolist()
+    bounds.append(len(rows))
+
+    old = codes[rows]
+    values = rel.values(fd.rhs)
+    bag = list(map(values.__getitem__, old.tolist()))
+    null_counts = sum((rel.codes(a)[rows] == NULL).astype(np.int64)
+                      for a in rel.schema.attributes).tolist()
     width = len(rel.schema)
-    fixes = 0
-    for tids in dsf.classes():
-        rows = [rel.row_of(t) for t in tids]
-        values = [row[rhs_i] for row in rows]
-        if len(set(values)) <= 1:
-            continue
-        null_counts = [sum(1 for c in row if c is None) for row in rows]
-        v_fix = fn(values, null_counts, width, rng)
-        for tid, row in zip(tids, rows):
-            if row[rhs_i] != v_fix:
-                if change_log is not None:
-                    change_log.append((tid, fd.rhs, row[rhs_i], v_fix))
-                if stats is not None:
-                    stats.cells_changed += 1
-                row[rhs_i] = v_fix
-        fixes += 1
-    return fixes
+    new = np.empty_like(old)
+    for start, end in zip(bounds, bounds[1:]):
+        v_fix = fn(bag[start:end], null_counts[start:end], width, rng)
+        new[start:end] = rel.encode(fd.rhs, v_fix)
+    changed = np.flatnonzero(new != old)
+    if change_log is not None:
+        change_log.record(tids[changed], fd.rhs, values, old[changed],
+                          new[changed])
+    if stats is not None:
+        stats.cells_changed += len(changed)
+    codes[rows] = new
+    return len(bounds) - 1
 
 
 def skip_revision_unary(fd, functions):
@@ -235,7 +330,9 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
     while True:
         while stack:
             budget -= 1
-            assert budget >= 0, "priority repair exceeded its iteration bound"
+            if budget < 0:
+                raise RepairInvariantError(
+                    "priority repair exceeded its iteration bound")
             fd = stack.poll()
             stats.polls_per_fd[fd] += 1
             fixes = fix(rel, fd, forests[fd.rhs], functions[fd.rhs], rng,

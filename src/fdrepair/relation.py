@@ -3,10 +3,22 @@
 Cells are untyped strings compared byte-exactly; NULL is represented by
 ``None``. Each row carries a tuple id (tid) that is unique within a
 relation and is never treated as a repairable attribute.
+
+Storage is columnar and dictionary-encoded: each attribute holds one
+``int32`` code per row plus a list mapping codes back to values, and code
+``NULL`` (0) is reserved for NULL in every attribute. Within one attribute,
+equal codes mean equal values, so grouping and voting run on integer
+arrays (``codes``). ``rows``, ``column``, ``get`` and ``row_of`` decode.
 """
 
 import csv
 from collections import Counter
+from itertools import islice
+
+import numpy as np
+
+NULL = 0  # the code of NULL in every attribute
+_CHUNK_ROWS = 4096  # rows load_csv parses before encoding them
 
 
 class SchemaError(ValueError):
@@ -42,68 +54,146 @@ class Schema:
         return [self.index(n) for n in names]
 
 
+def _first_duplicate(items):
+    """Position of the first item equal to an earlier one, or None."""
+    seen = set()
+    for i, item in enumerate(items):
+        if item in seen:
+            return i
+        seen.add(item)
+    return None
+
+
+class _Dictionary(dict):
+    """One attribute's value -> code map; ``values`` maps codes back. An
+    unseen value gets the next code as it is looked up."""
+
+    def __init__(self, values=(None,)):
+        super().__init__(zip(values, range(len(values))))
+        self.values = list(values)
+
+    def __missing__(self, value):
+        code = self[value] = len(self.values)
+        self.values.append(value)
+        return code
+
+
 class Relation:
     """An ordered collection of rows with unique tids.
 
-    ``rows`` is a list of cell lists aligned with ``schema.attributes``;
-    ``tids`` is the parallel list of tuple ids.
+    ``tids`` lists the tuple ids in row order. ``rows`` is a freshly decoded
+    list of cell lists aligned with ``schema.attributes``; change cells with
+    ``set``.
     """
 
     def __init__(self, schema, tids=None, rows=None):
         self.schema = schema
-        self.tids = list(tids) if tids else []
-        self.rows = [list(r) for r in rows] if rows else []
-        if len(self.tids) != len(self.rows):
+        self.tids = []
+        self._pos = {}  # tid -> row position
+        self._data = np.empty((len(schema), 0), dtype=np.int32)
+        self._dicts = [_Dictionary() for _ in schema.attributes]
+        tids = list(tids) if tids else []
+        rows = list(rows) if rows else []
+        if len(tids) != len(rows):
             raise ValueError("tids and rows must have equal length")
-        if len(set(self.tids)) != len(self.tids):
-            raise ValueError("duplicate tids")
-        for row in self.rows:
+        for row in rows:
             if len(row) != len(schema):
                 raise SchemaError("row arity %d does not match schema arity %d"
                                   % (len(row), len(schema)))
-        self._pos = {tid: i for i, tid in enumerate(self.tids)}
+        if rows:
+            self._extend(tids, list(zip(*rows)))
+
+    def _extend(self, tids, columns):
+        """Append rows given as their tids and one cell sequence per
+        attribute. Storage grows geometrically, so appending costs amortized
+        O(1) per cell."""
+        n, end = len(self.tids), len(self.tids) + len(tids)
+        pos = dict(zip(tids, range(n, end)))
+        if len(pos) != len(tids) or not self._pos.keys().isdisjoint(pos):
+            both = self.tids + list(tids)
+            raise ValueError("duplicate tid %r" % (both[_first_duplicate(both)],))
+        if end > self._data.shape[1]:
+            grown = np.empty((len(self.schema), max(end, 2 * n, 16)),
+                             dtype=np.int32)
+            grown[:, :n] = self._data[:, :n]
+            self._data = grown
+        for d, codes, col in zip(self._dicts, self._data[:, n:end], columns):
+            codes[:] = np.fromiter(map(d.__getitem__, col), dtype=np.int32,
+                                   count=end - n)
+        self._pos.update(pos)
+        self.tids.extend(tids)
+
+    def _like(self, tids, data):
+        """A relation over the same schema with copies of the dictionaries."""
+        rel = Relation(self.schema)
+        rel.tids = tids
+        rel._pos = dict(zip(tids, range(len(tids))))
+        rel._data = data
+        rel._dicts = [_Dictionary(d.values) for d in self._dicts]
+        return rel
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.tids)
 
     def append(self, tid, row):
-        if tid in self._pos:
-            raise ValueError("duplicate tid %r" % (tid,))
         if len(row) != len(self.schema):
             raise SchemaError("row arity %d does not match schema arity %d"
                               % (len(row), len(self.schema)))
-        self._pos[tid] = len(self.tids)
-        self.tids.append(tid)
-        self.rows.append(list(row))
+        self._extend([tid], [(value,) for value in row])
 
-    def copy(self):
-        return Relation(self.schema, self.tids, self.rows)
-
-    def row_of(self, tid):
+    def _position(self, tid):
         try:
-            return self.rows[self._pos[tid]]
+            return self._pos[tid]
         except KeyError:
             raise KeyError("unknown tid %r" % (tid,)) from None
 
+    def copy(self):
+        return self._like(list(self.tids), self._data[:, :len(self)].copy())
+
+    # ------------------------------------------------------------ encoded
+
+    def codes(self, attr):
+        """The attribute's code per row, as a writable view of the storage."""
+        return self._data[self.schema.index(attr), :len(self)]
+
+    def values(self, attr):
+        """The attribute's dictionary: ``values(attr)[code]`` is the value."""
+        return self._dicts[self.schema.index(attr)].values
+
+    def encode(self, attr, value):
+        """The attribute's code for ``value``, adding it if it is new."""
+        return self._dicts[self.schema.index(attr)][value]
+
+    # ------------------------------------------------------------ decoded
+
+    @property
+    def rows(self):
+        return [list(row) for row in
+                zip(*(self.column(a) for a in self.schema.attributes))]
+
+    def row_of(self, tid):
+        codes = self._data[:, self._position(tid)].tolist()
+        return [d.values[c] for d, c in zip(self._dicts, codes)]
+
     def get(self, tid, attr):
-        return self.row_of(tid)[self.schema.index(attr)]
+        j = self.schema.index(attr)
+        return self._dicts[j].values[self._data[j, self._position(tid)]]
 
     def set(self, tid, attr, value):
-        self.row_of(tid)[self.schema.index(attr)] = value
+        j = self.schema.index(attr)
+        self._data[j, self._position(tid)] = self._dicts[j][value]
 
     def column(self, attr):
-        i = self.schema.index(attr)
-        return [row[i] for row in self.rows]
+        return list(map(self.values(attr).__getitem__,
+                        self.codes(attr).tolist()))
 
     def project(self, attrs):
         """Duplicate-free set of value vectors restricted to ``attrs``."""
-        idx = self.schema.indices(attrs)
-        return {tuple(row[i] for i in idx) for row in self.rows}
+        return set(zip(*(self.column(a) for a in attrs)))
 
     def bag_project(self, attrs):
         """Multiset of value vectors restricted to ``attrs``."""
-        idx = self.schema.indices(attrs)
-        return Counter(tuple(row[i] for i in idx) for row in self.rows)
+        return Counter(zip(*(self.column(a) for a in attrs)))
 
     def select_by_tids(self, tids):
         """Subrelation with exactly the requested tuples, in original order."""
@@ -111,11 +201,8 @@ class Relation:
         unknown = wanted - self._pos.keys()
         if unknown:
             raise KeyError("unknown tids %r" % (sorted(unknown),))
-        sub = Relation(self.schema)
-        for tid, row in zip(self.tids, self.rows):
-            if tid in wanted:
-                sub.append(tid, row)
-        return sub
+        keep = [i for i, tid in enumerate(self.tids) if tid in wanted]
+        return self._like([self.tids[i] for i in keep], self._data[:, keep])
 
 
 def load_csv(path, null_token="", tid_column=None):
@@ -123,7 +210,8 @@ def load_csv(path, null_token="", tid_column=None):
 
     Cells equal to ``null_token`` become NULL. If ``tid_column`` is given,
     that column supplies the tids (unique integers); otherwise tids are
-    assigned 1..n in row order.
+    assigned 1..n in row order. Rows are encoded into the columns a chunk
+    at a time, as they are parsed.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -138,24 +226,38 @@ def load_csv(path, null_token="", tid_column=None):
             tid_idx = header.index(tid_column)
             header = header[:tid_idx] + header[tid_idx + 1:]
         rel = Relation(Schema(header))
-        for lineno, raw in enumerate(reader, start=2):
-            if len(raw) != len(header) + (1 if tid_idx is not None else 0):
+        width = len(header) + (tid_idx is not None)
+        for d in rel._dicts:
+            d[null_token] = NULL
+        lineno = 2  # of the chunk's first row
+        for chunk in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
+            if set(map(len, chunk)) != {width}:
+                i = next(i for i, raw in enumerate(chunk) if len(raw) != width)
                 raise ValueError("%s:%d: expected %d fields, got %d"
-                                 % (path, lineno, len(header) + (tid_idx is not None), len(raw)))
-            if tid_idx is not None:
-                try:
-                    tid = int(raw[tid_idx])
-                except ValueError:
-                    raise ValueError("%s:%d: malformed tid %r" % (path, lineno, raw[tid_idx])) from None
-                raw = raw[:tid_idx] + raw[tid_idx + 1:]
+                                 % (path, lineno + i, width, len(chunk[i])))
+            columns = list(zip(*chunk))
+            if tid_idx is None:
+                tids = list(range(lineno - 1, lineno - 1 + len(chunk)))
             else:
-                tid = lineno - 1
-            row = [None if cell == null_token else cell for cell in raw]
+                tids = []
+                for i, cell in enumerate(columns.pop(tid_idx)):
+                    try:
+                        tids.append(int(cell))
+                    except ValueError:
+                        raise ValueError("%s:%d: malformed tid %r"
+                                         % (path, lineno + i, cell)) from None
             try:
-                rel.append(tid, row)
+                rel._extend(tids, columns)
             except ValueError:
-                raise ValueError("%s:%d: duplicate tid %r" % (path, lineno, tid)) from None
-        return rel
+                both = rel.tids + tids
+                dup = _first_duplicate(both)
+                raise ValueError("%s:%d: duplicate tid %r"
+                                 % (path, dup + 2, both[dup])) from None
+            lineno += len(chunk)
+    for d in rel._dicts:
+        del d[null_token]
+        d[None] = NULL
+    return rel
 
 
 def save_csv(rel, path, null_token="", tid_column=None):
@@ -164,13 +266,16 @@ def save_csv(rel, path, null_token="", tid_column=None):
     With ``tid_column`` the tids are written as a leading column, so that
     ``load_csv(..., tid_column=...)`` reproduces the relation exactly.
     """
+    header = list(rel.schema.attributes)
+    columns = []
+    for a in header:
+        values = list(rel.values(a))
+        values[NULL] = null_token
+        columns.append(list(map(values.__getitem__, rel.codes(a).tolist())))
+    if tid_column is not None:
+        header.insert(0, tid_column)
+        columns.insert(0, rel.tids)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if tid_column is None:
-            writer.writerow(rel.schema.attributes)
-            for row in rel.rows:
-                writer.writerow([null_token if c is None else c for c in row])
-        else:
-            writer.writerow([tid_column] + rel.schema.attributes)
-            for tid, row in zip(rel.tids, rel.rows):
-                writer.writerow([tid] + [null_token if c is None else c for c in row])
+        writer.writerow(header)
+        writer.writerows(zip(*columns))

@@ -67,9 +67,9 @@ class RepairFunction:
 
     def __call__(self, values, null_counts, schema_width, rng):
         value = self._pick(values, null_counts, schema_width, rng)
-        if self.preservative:
-            assert value in values, \
-                "preservative function %s produced a value outside the bag" % self.name
+        if self.preservative and value not in values:
+            raise ValueError("preservative function %s produced a value "
+                             "outside the bag" % self.name)
         return value
 
 

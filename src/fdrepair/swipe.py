@@ -2,7 +2,7 @@
 priority repair, change log, and a final satisfaction sweep.
 
 The input relation is never mutated; the repaired copy satisfies every
-input FD on return (asserted by a full violation sweep), and attributes
+input FD on return (checked by a full violation sweep), and attributes
 outside the cover are byte-identical to the input.
 """
 
@@ -13,12 +13,9 @@ from dataclasses import dataclass, field
 from .fds import minimal_cover, violates
 from .partition import (build_preorder, induced_partition, fds_entering_at,
                         check_forward_repairable)
-from .priority import RepairStats, priority_repair
+from .priority import (ChangeLog, RepairInvariantError, RepairStats,
+                       priority_repair)
 from .repair_functions import get_function, RepairFunction
-
-
-class RepairInvariantError(AssertionError):
-    """The repaired relation failed the final satisfaction sweep."""
 
 
 @dataclass
@@ -31,7 +28,7 @@ class ClassOutcome:
 @dataclass
 class RepairOutcome:
     repaired: object  # Relation
-    change_log: list  # (tid, attribute, old, new)
+    change_log: ChangeLog  # (tid, attribute, old, new) records
     classes: list  # ClassOutcome per partition class, in repair order
     partition: list  # attribute lists, natural order
     non_repairable: list  # schema attributes absent from the cover
@@ -71,12 +68,14 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
 
     cover = minimal_cover(fds)
     part = induced_partition(build_preorder(cover, rel.schema), rel.schema)
-    assert check_forward_repairable(part, cover)
+    if not check_forward_repairable(part, cover):
+        raise RepairInvariantError("partition %s is not forward-repairable"
+                                   % part.classes)
     non_repairable = [a for a in rel.schema.attributes
                       if a not in set(part.attributes())]
 
     repaired = rel.copy()
-    change_log = []
+    change_log = ChangeLog()
     outcomes = []
     for i, cls in enumerate(part.classes, start=1):
         fds_i = fds_entering_at(cover, part, i)

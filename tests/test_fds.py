@@ -109,27 +109,46 @@ def test_violates_single_tuple():
     assert violates(rel, fd("a", "b")) == []
 
 
-def violates_bruteforce(rel, f):
+def violates_bruteforce(rel, f, null_equals_null):
     """Exhaustive pairwise check."""
-    for r1, r2 in itertools.combinations(range(len(rel)), 2):
-        lhs = rel.schema.indices(sorted(f.lhs))
-        rhs = rel.schema.index(f.rhs)
-        if all(rel.rows[r1][i] == rel.rows[r2][i] for i in lhs) \
-                and rel.rows[r1][rhs] != rel.rows[r2][rhs]:
+    rows = rel.rows
+    lhs = rel.schema.indices(sorted(f.lhs))
+    rhs = rel.schema.index(f.rhs)
+    for r1, r2 in itertools.combinations(rows, 2):
+        if not null_equals_null and any(r[i] is None for r in (r1, r2)
+                                        for i in lhs):
+            continue
+        if all(r1[i] == r2[i] for i in lhs) and r1[rhs] != r2[rhs]:
             return True
     return False
+
+
+def violates_reference(rel, f, null_equals_null):
+    """Row-by-row dict grouping: violated groups in order of first row."""
+    lhs = rel.schema.indices(sorted(f.lhs))
+    rhs = rel.schema.index(f.rhs)
+    groups = {}
+    for tid, row in zip(rel.tids, rel.rows):
+        key = tuple(row[i] for i in lhs)
+        if not null_equals_null and None in key:
+            key = ("\0tid", tid)
+        groups.setdefault(key, []).append((tid, row[rhs]))
+    return [[tid for tid, _ in members] for members in groups.values()
+            if len({v for _, v in members}) > 1]
 
 
 @settings(max_examples=200)
 @given(st.lists(st.lists(st.sampled_from(["0", "1", None]),
                          min_size=3, max_size=3), max_size=12),
-       st.sets(st.sampled_from(["a", "b"]), min_size=1))
-def test_violates_matches_bruteforce(rows, lhs):
-    rel = Relation(Schema(["a", "b", "c"]))
-    for i, row in enumerate(rows):
-        rel.append(i + 1, row)
+       st.sets(st.sampled_from(["a", "b"]), min_size=1), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_violates_matches_bruteforce(rows, lhs, null_equals_null, rng):
+    tids = rng.sample(range(1, 100), len(rows))  # not in row order
+    rel = Relation(Schema(["a", "b", "c"]), tids, rows)
     f = FD(frozenset(lhs), "c")
-    assert bool(violates(rel, f)) == violates_bruteforce(rel, f)
+    bad = violates(rel, f, null_equals_null)
+    assert bool(bad) == violates_bruteforce(rel, f, null_equals_null)
+    assert bad == violates_reference(rel, f, null_equals_null)
 
 
 fdset = st.lists(st.tuples(st.sets(st.sampled_from("ABCDEF"), min_size=1, max_size=3),

@@ -1,42 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdrepair import (FD, DisjointSetForest, Relation, Schema,
-                      estimate_priority, fix, majority_value, minimal_cover,
-                      pilot_fds, priority_repair, resolve_functions,
-                      skip_revision_unary, update_dsf, vio, vio_fd, violates)
-from fdrepair.priority import RepairStats
-from fdrepair.repair_functions import MV, RepairFunction
+                      estimate_priority, fix, minimal_cover, pilot_fds,
+                      priority_repair, resolve_functions, skip_revision_unary,
+                      update_dsf, vio, vio_fd, violates)
+from fdrepair.priority import ChangeLog, RepairStats
+from fdrepair.repair_functions import BUILTINS, MV, RepairFunction
 
 NAME_PROV = FD(frozenset({"hospital name"}), "#provider")
 PROV_NAME = FD(frozenset({"#provider"}), "hospital name")
-
-
-def test_majority_value_group(hospital_snippet):
-    v = majority_value(hospital_snippet, {"hospital name"}, ("callahan eye",),
-                       "#provider", random.Random(0))
-    assert v == "10006"
-
-
-def test_majority_value_singleton(hospital_snippet):
-    v = majority_value(hospital_snippet, {"measure code"}, ("CAC-1",),
-                       "condition", random.Random(0))
-    assert v == "asthma"
-
-
-def test_majority_value_tie_deterministic(hospital_snippet):
-    vals = {majority_value(hospital_snippet, {"hospital name"},
-                           ("marshall medical",), "#provider",
-                           random.Random(5)) for _ in range(5)}
-    assert len(vals) == 1
-    assert vals.pop() in {"10035", "1003x"}
-
-
-def test_majority_value_empty_selection(hospital_snippet):
-    with pytest.raises(ValueError):
-        majority_value(hospital_snippet, {"hospital name"}, ("nowhere",),
-                       "#provider", random.Random(0))
 
 
 def test_vio_fd_hospital(hospital_snippet):
@@ -113,6 +89,125 @@ def test_update_dsf_idempotent(hospital_snippet):
     before = d.classes()
     update_dsf(hospital_snippet, NAME_PROV, d)
     assert d.classes() == before
+
+
+cells = st.lists(st.lists(st.sampled_from(["0", "1", "2", None]),
+                          min_size=3, max_size=3), max_size=14)
+
+
+def components(elements, pairs):
+    """Connected components of ``pairs`` over ``elements``, by closure."""
+    comp = {e: {e} for e in elements}
+    for a, b in pairs:
+        if comp[a] is not comp[b]:
+            merged = comp[a] | comp[b]
+            for e in merged:
+                comp[e] = merged
+    return sorted((sorted(c) for c in {id(c): c for c in comp.values()}
+                   .values()), key=lambda c: c[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells, st.sets(st.sampled_from(["a", "b"]), min_size=1),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_update_dsf_matches_components(rows, lhs, null_equals_null, rng):
+    # after the merge, two tuples share a class exactly when they are
+    # connected by "same class before" or "equal lhs key", a key holding a
+    # NULL matching nothing under NULL-unequal semantics
+    tids = rng.sample(range(1, 100), len(rows))
+    rel = Relation(Schema(["a", "b", "c"]), tids, rows)
+    d = DisjointSetForest(tids)
+    before = [tuple(rng.sample(tids, 2)) for _ in range(len(tids) // 3)]
+    for a, b in before:
+        d.union(a, b)
+    update_dsf(rel, FD(frozenset(lhs), "c"), d, null_equals_null)
+    idx = rel.schema.indices(sorted(lhs))
+    keyed = [(tid, tuple(row[i] for i in idx)) for tid, row in zip(tids, rows)]
+    same_key = [(t1, t2) for t1, k1 in keyed for t2, k2 in keyed
+                if k1 == k2 and (null_equals_null or None not in k1)]
+    expected = components(tids, before + same_key)
+    assert d.classes() == expected
+    assert d.class_count == len(expected)
+    for cls in expected:
+        assert len({d.find(t) for t in cls}) == 1
+
+
+def vio_fd_reference(rel, fd, rng, null_equals_null):
+    """Row-by-row majority per lhs group; ties drawn in first-row order."""
+    lhs = rel.schema.indices(sorted(fd.lhs))
+    rhs = rel.schema.index(fd.rhs)
+    groups = {}
+    for tid, row in zip(rel.tids, rel.rows):
+        key = tuple(row[i] for i in lhs)
+        if not null_equals_null and None in key:
+            key = ("\0tid", tid)
+        groups.setdefault(key, []).append((tid, row[rhs]))
+    out = set()
+    for members in groups.values():
+        counts = Counter(v for _, v in members)
+        best = max(counts.values())
+        tied = sorted((v for v, c in counts.items() if c == best),
+                      key=lambda v: (v is None, v))
+        majority = tied[0] if len(tied) == 1 else rng.choice(tied)
+        out.update(tid for tid, v in members if v != majority)
+    return out
+
+
+def fix_reference(rel, rows, fd, forest, fn, rng, null_equals_null):
+    """Row-by-row fix on ``rows`` (mutated) with single unions and
+    ``classes()``; returns (fixes, change log)."""
+    lhs = rel.schema.indices(sorted(fd.lhs))
+    rhs = rel.schema.index(fd.rhs)
+    first = {}
+    for tid, row in zip(rel.tids, rows):
+        key = tuple(row[i] for i in lhs)
+        if null_equals_null or None not in key:
+            forest.union(tid, first.setdefault(key, tid))
+    by_tid = dict(zip(rel.tids, rows))
+    fixes, log = 0, []
+    for cls in forest.classes():
+        members = [by_tid[t] for t in cls]
+        values = [row[rhs] for row in members]
+        if len(set(values)) <= 1:
+            continue
+        nulls = [sum(c is None for c in row) for row in members]
+        v_fix = fn(values, nulls, len(rel.schema), rng)
+        for tid, row in zip(cls, members):
+            if row[rhs] != v_fix:
+                log.append((tid, fd.rhs, row[rhs], v_fix))
+                row[rhs] = v_fix
+        fixes += 1
+    return fixes, log
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells, st.sampled_from(sorted(BUILTINS)), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_vio_and_fix_match_row_loop_reference(rows, fn, null_equals_null,
+                                             rng):
+    # same results and the same draws from the rng, with tids out of row
+    # order and two FDs fixed into one forest in turn
+    tids = rng.sample(range(1, 100), len(rows))
+    rel = Relation(Schema(["a", "b", "c"]), tids, rows)
+    ref_rows = [list(row) for row in rel.rows]
+    seed = rng.randrange(1000)
+    for fd in (FD(frozenset("a"), "c"), FD(frozenset("ab"), "c")):
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert vio_fd(rel, fd, got_rng, null_equals_null) == \
+            vio_fd_reference(rel, fd, ref_rng, null_equals_null)
+        assert got_rng.getstate() == ref_rng.getstate()
+    forest, ref_forest = DisjointSetForest(tids), DisjointSetForest(tids)
+    for fd in (FD(frozenset("a"), "c"), FD(frozenset("b"), "c")):
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        log = ChangeLog()
+        fixes = fix(rel, fd, forest, BUILTINS[fn], got_rng, change_log=log,
+                    null_equals_null=null_equals_null)
+        assert (fixes, log) == fix_reference(rel, ref_rows, fd, ref_forest,
+                                             BUILTINS[fn], ref_rng,
+                                             null_equals_null)
+        assert rel.rows == ref_rows
+        assert got_rng.getstate() == ref_rng.getstate()
+        assert forest.classes() == ref_forest.classes()
 
 
 def test_fix_hospital_first_fd(hospital_snippet):

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdrepair import (BUILTINS, get_function, is_preservative, majority_vote,
-                      max_value, weighted_vote)
+import fdrepair
+from fdrepair import (BUILTINS, RepairFunction, get_function, is_preservative,
+                      majority_vote, max_value, weighted_vote)
 
 
 def test_majority_clear_winner():
@@ -68,6 +72,29 @@ def test_max_null_is_minimum():
 def test_builtins_preservative_flags():
     for name in ("mv", "wv", "max"):
         assert is_preservative(get_function(name))
+
+
+def test_preservative_flag_is_checked():
+    outside = RepairFunction("outside", True, lambda vs, ns, w, rng: "z")
+    with pytest.raises(ValueError):
+        outside(["a", "b"], [0, 0], 2, random.Random(0))
+
+
+def test_preservative_check_survives_optimize_flag():
+    # python -O strips assert statements; this check must stay
+    code = ("import random\n"
+            "from fdrepair import RepairFunction\n"
+            "fn = RepairFunction('outside', True, lambda vs, ns, w, rng: 'z')\n"
+            "try:\n"
+            "    fn(['a', 'b'], [0, 0], 2, random.Random(0))\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fdrepair.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_function():
