@@ -68,9 +68,9 @@ class _Dictionary(dict):
     """One attribute's value -> code map; ``values`` maps codes back. An
     unseen value gets the next code as it is looked up."""
 
-    def __init__(self, values=(None,)):
-        super().__init__(zip(values, range(len(values))))
-        self.values = list(values)
+    def __init__(self):
+        super().__init__({None: NULL})
+        self.values = [None]
 
     def __missing__(self, value):
         code = self[value] = len(self.values)
@@ -89,7 +89,7 @@ class Relation:
     def __init__(self, schema, tids=None, rows=None):
         self.schema = schema
         self.tids = []
-        self._pos = {}  # tid -> row position
+        self._pos = {}  # tid -> row position, None until needed
         self._data = np.empty((len(schema), 0), dtype=np.int32)
         self._dicts = [_Dictionary() for _ in schema.attributes]
         tids = list(tids) if tids else []
@@ -109,7 +109,7 @@ class Relation:
         O(1) per cell."""
         n, end = len(self.tids), len(self.tids) + len(tids)
         pos = dict(zip(tids, range(n, end)))
-        if len(pos) != len(tids) or not self._pos.keys().isdisjoint(pos):
+        if len(pos) != len(tids) or not self._positions().keys().isdisjoint(pos):
             both = self.tids + list(tids)
             raise ValueError("duplicate tid %r" % (both[_first_duplicate(both)],))
         if end > self._data.shape[1]:
@@ -124,12 +124,13 @@ class Relation:
         self.tids.extend(tids)
 
     def _like(self, tids, data):
-        """A relation over the same schema with copies of the dictionaries."""
+        """A relation over the same schema sharing this one's dictionaries,
+        which only ever gain values, so a code keeps its value in both."""
         rel = Relation(self.schema)
         rel.tids = tids
-        rel._pos = dict(zip(tids, range(len(tids))))
+        rel._pos = None
         rel._data = data
-        rel._dicts = [_Dictionary(d.values) for d in self._dicts]
+        rel._dicts = self._dicts
         return rel
 
     def __len__(self):
@@ -141,9 +142,14 @@ class Relation:
                               % (len(row), len(self.schema)))
         self._extend([tid], [(value,) for value in row])
 
+    def _positions(self):
+        if self._pos is None:
+            self._pos = dict(zip(self.tids, range(len(self.tids))))
+        return self._pos
+
     def _position(self, tid):
         try:
-            return self._pos[tid]
+            return self._positions()[tid]
         except KeyError:
             raise KeyError("unknown tid %r" % (tid,)) from None
 
@@ -198,7 +204,7 @@ class Relation:
     def select_by_tids(self, tids):
         """Subrelation with exactly the requested tuples, in original order."""
         wanted = set(tids)
-        unknown = wanted - self._pos.keys()
+        unknown = wanted - self._positions().keys()
         if unknown:
             raise KeyError("unknown tids %r" % (sorted(unknown),))
         keep = [i for i, tid in enumerate(self.tids) if tid in wanted]
