@@ -16,13 +16,18 @@ the first poll, which is what makes the skip sound there (see
 as a backstop.
 
 All of it runs on the relation's integer codes. One grouping primitive,
-``group_rows``, turns an lhs into group ids: Vio counts values per (group,
-value) pair, ``update_dsf`` merges each group into the forest in bulk, and
-``fix`` finds the forest classes holding two or more rhs values with array
-operations. The repair function is still called once per such class,
-classes in order of their least tid and bags in tid order, and Vio ties
-draw in order of each group's first row, so results and the seeded rng
-stream are those of a row-by-row run.
+``group_rows``, turns an lhs into group ids: ``update_dsf`` merges each
+group into the forest in bulk, and ``fix`` finds the forest classes holding
+two or more rhs values with array operations. One counting kernel,
+``_tally``, sums votes per (group, code) pair and finds each group's top
+for both Vio (lhs groups, one vote per row) and ``fix`` (forest classes,
+weighted by the voting repair function); each keeps its own tie rule. Vio
+draws among all tied values, NULL included and sorted last, groups in order
+of their first row. ``fix`` lets a constant beat NULL and draws among tied
+constants, classes in order of their least tid, exactly as ``mv``/``wv``
+would class by class; ``max`` and user-supplied functions are called once
+per class, bags in tid order. Results and the seeded rng stream are those
+of a row-by-row run.
 """
 
 import heapq
@@ -96,6 +101,56 @@ class ChangeLog(Sequence):
         return repr(self._decoded())
 
 
+def _tally(groups, codes, weights=None):
+    """Sum ``weights`` (1 per row by default) per (group, code) pair of the
+    rows, and find each group's top.
+
+    Returns ``(group, code, top, row_group)``: for each distinct pair, in
+    ascending (group, code) order, its dense group index, its code, and
+    whether its total is its group's largest; and the dense group index of
+    each row. Totals are exact integers.
+    """
+    k = int(codes.max()) + 1
+    pairs, row_pair = np.unique(groups.astype(np.int64) * k + codes,
+                                return_inverse=True)
+    if weights is None:
+        totals = np.bincount(row_pair)
+    else:
+        totals = np.zeros(len(pairs), dtype=np.int64)
+        np.add.at(totals, row_pair, weights)
+    is_first = np.diff(pairs // k, prepend=-1) != 0
+    group = np.cumsum(is_first) - 1
+    top = np.maximum.reduceat(totals, np.flatnonzero(is_first))
+    return group, pairs % k, totals == top[group], group[row_pair]
+
+
+def _winners(group, code, pool, order, values, rng):
+    """Each group's winning code: its one ``pool`` pair's code, or
+    ``rng.choice`` among two or more sorted by value with NULL last.
+    Groups with such a tie draw in ascending ``order`` (one key per group);
+    the others draw nothing."""
+    n_pool = np.bincount(group[pool], minlength=len(order))
+    winner = np.zeros(len(order), dtype=code.dtype)
+    winner[group[pool]] = code[pool]
+    tied = np.flatnonzero(n_pool > 1)
+    if len(tied):
+        candidates = {}
+        is_tied = pool & (n_pool[group] > 1)
+        for g, c in zip(group[is_tied].tolist(), code[is_tied].tolist()):
+            candidates.setdefault(g, []).append(c)
+        for g in tied[np.argsort(order[tied], kind="stable")].tolist():
+            winner[g] = rng.choice(sorted(candidates[g], key=lambda c: (
+                c == NULL, values[c])))
+    return winner
+
+
+def _group_min(row_group, keys, n_groups):
+    """The least of ``keys`` (one per row) in each group."""
+    least = np.full(n_groups, keys.max())
+    np.minimum.at(least, row_group, keys)
+    return least
+
+
 def _minority_rows(rel, fd, rng, null_equals_null):
     """Mask of the rows whose rhs value differs from their lhs group's
     majority value.
@@ -110,30 +165,11 @@ def _minority_rows(rel, fd, rng, null_equals_null):
     rows = np.flatnonzero(may)
     if not len(rows):
         return minority
-    values = rel.values(fd.rhs)
-    k = len(values)
     codes = rel.codes(fd.rhs)[rows]
-    pairs, pair_of_row, counts = np.unique(
-        ids[rows] * k + codes, return_inverse=True, return_counts=True)
-    group = np.unique(pairs // k, return_inverse=True)[1]  # of each pair
-    top = np.zeros(group[-1] + 1, dtype=counts.dtype)
-    np.maximum.at(top, group, counts)
-    is_top = counts == top[group]
-    n_top = np.bincount(group[is_top])
-    winner = np.zeros(len(top), dtype=np.int64)
-    winner[group[is_top]] = pairs[is_top] % k
-    tied = np.flatnonzero(n_top > 1)
-    if len(tied):
-        first = np.full(len(top), len(rows))
-        np.minimum.at(first, group[pair_of_row], np.arange(len(rows)))
-        candidates = {}
-        for pair in np.flatnonzero(is_top & (n_top[group] > 1)).tolist():
-            candidates.setdefault(int(group[pair]), []).append(
-                int(pairs[pair] % k))
-        for g in tied[np.argsort(first[tied])].tolist():
-            winner[g] = rng.choice(sorted(candidates[g], key=lambda c: (
-                c == NULL, values[c])))
-    minority[rows] = codes != winner[group[pair_of_row]]
+    group, code, top, row_group = _tally(ids[rows], codes)
+    first = _group_min(row_group, np.arange(len(rows)), group[-1] + 1)
+    winner = _winners(group, code, top, first, rel.values(fd.rhs), rng)
+    minority[rows] = codes != winner[row_group]
     return minority
 
 
@@ -190,14 +226,70 @@ def update_dsf(rel, fd, dsf, null_equals_null=True):
     dsf.merge(dsf.slots(rel.tids)[may], ids[may])
 
 
+def _null_counts(rel, rows):
+    return sum((rel.codes(a)[rows] == NULL).astype(np.int64)
+               for a in rel.schema.attributes)
+
+
+def _vote(rel, fd, fn, rng, rows, tids, comp):
+    """Resolve every class of a voting function at once; returns the rows
+    whose code changes, in change-log order, with their tids, old and new
+    codes, and the number of classes."""
+    old = rel.codes(fd.rhs)[rows]
+    weights = None
+    if fn.vote_exponent:
+        nulls = _null_counts(rel, rows)
+        weights = (len(rel.schema) - nulls) ** fn.vote_exponent
+    group, code, top, row_group = _tally(comp[rows], old, weights)
+    least = _group_min(row_group, tids, group[-1] + 1)
+    # a constant beats NULL: a NULL top stays in the pool only when alone
+    n_top = np.bincount(group[top])
+    pool = top & ((code != NULL) | (n_top[group] == 1))
+    new = _winners(group, code, pool, least, rel.values(fd.rhs),
+                   rng)[row_group]
+    changed = np.flatnonzero(new != old)
+    changed = changed[np.lexsort((tids[changed],
+                                  least[row_group[changed]]))]
+    return (rows[changed], tids[changed], old[changed], new[changed],
+            len(least))
+
+
+def _call_per_class(rel, fd, fn, rng, rows, tids, comp):
+    """Call ``fn`` once per class, classes by least tid and bags in tid
+    order; returns the class rows in that order with their tids, old and
+    new codes, and the number of classes."""
+    classes, row_class = np.unique(comp[rows], return_inverse=True)
+    least = _group_min(row_class, tids, len(classes))[row_class]
+    order = np.lexsort((tids, least))
+    rows, tids, least = rows[order], tids[order], least[order]
+    bounds = [0, *(np.flatnonzero(np.diff(least)) + 1).tolist(), len(rows)]
+    old = rel.codes(fd.rhs)[rows]
+    bag = list(map(rel.values(fd.rhs).__getitem__, old.tolist()))
+    null_counts = _null_counts(rel, rows).tolist()
+    width = len(rel.schema)
+    new = np.empty_like(old)
+    for start, end in zip(bounds, bounds[1:]):
+        v_fix = fn(bag[start:end], null_counts[start:end], width, rng)
+        new[start:end] = rel.encode(fd.rhs, v_fix)
+    return rows, tids, old, new, len(classes)
+
+
 def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
         null_equals_null=True):
     """Fix violations of ``fd``: after updating the forest, rewrite every
     class showing more than one rhs value with the repair function.
     Returns the number of violated classes.
 
-    Classes go to the repair function in order of their least tid, each
-    bag's values and NULL counts in tid order, and so does the change log.
+    A voting function (``fn.vote_exponent`` set) resolves all classes in
+    one array vote on codes: weights are summed per (class, code) pair, a
+    constant beats NULL, and each class with two or more tied constants
+    draws ``rng.choice`` of them sorted, classes in order of their least
+    tid, exactly as ``repair_functions.majority_vote``/``weighted_vote``
+    would class by class. Each winner is a (class, code) pair occurring in
+    the class, so the vote is preservative by construction. Any other
+    function is called once per class, classes in order of their least tid
+    and each bag's values and NULL counts in tid order. Either way the
+    change log lists classes by least tid and cells by tid.
     """
     update_dsf(rel, fd, dsf, null_equals_null)
     codes = rel.codes(fd.rhs)
@@ -205,34 +297,17 @@ def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
     rows = np.flatnonzero(mixed_rows(comp, codes))
     if not len(rows):
         return 0
-    tids = np.asarray(rel.tids)[rows]
-    order = np.lexsort((tids, comp[rows]))  # by class, then tid
-    rows, tids = rows[order], tids[order]
-    starts = np.flatnonzero(np.diff(comp[rows], prepend=-1))
-    least = np.repeat(tids[starts], np.diff(np.append(starts, len(rows))))
-    order = np.argsort(least, kind="stable")  # classes by least tid
-    rows, tids = rows[order], tids[order]
-    bounds = np.flatnonzero(np.diff(comp[rows], prepend=-1)).tolist()
-    bounds.append(len(rows))
-
-    old = codes[rows]
-    values = rel.values(fd.rhs)
-    bag = list(map(values.__getitem__, old.tolist()))
-    null_counts = sum((rel.codes(a)[rows] == NULL).astype(np.int64)
-                      for a in rel.schema.attributes).tolist()
-    width = len(rel.schema)
-    new = np.empty_like(old)
-    for start, end in zip(bounds, bounds[1:]):
-        v_fix = fn(bag[start:end], null_counts[start:end], width, rng)
-        new[start:end] = rel.encode(fd.rhs, v_fix)
+    resolve = _call_per_class if fn.vote_exponent is None else _vote
+    rows, tids, old, new, n_classes = resolve(
+        rel, fd, fn, rng, rows, rel.tid_array()[rows], comp)
     changed = np.flatnonzero(new != old)
     if change_log is not None:
-        change_log.record(tids[changed], fd.rhs, values, old[changed],
-                          new[changed])
+        change_log.record(tids[changed], fd.rhs, rel.values(fd.rhs),
+                          old[changed], new[changed])
     if stats is not None:
         stats.cells_changed += len(changed)
     codes[rows] = new
-    return len(bounds) - 1
+    return n_classes
 
 
 def skip_revision_unary(fd, functions):

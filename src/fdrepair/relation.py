@@ -12,7 +12,6 @@ arrays (``codes``). ``rows``, ``column``, ``get`` and ``row_of`` decode.
 """
 
 import csv
-from collections import Counter
 from itertools import islice
 
 import numpy as np
@@ -90,6 +89,7 @@ class Relation:
         self.schema = schema
         self.tids = []
         self._pos = {}  # tid -> row position, None until needed
+        self._tid_array = None  # tids as an array, None until needed
         self._data = np.empty((len(schema), 0), dtype=np.int32)
         self._dicts = [_Dictionary() for _ in schema.attributes]
         tids = list(tids) if tids else []
@@ -122,6 +122,7 @@ class Relation:
                                    count=end - n)
         self._pos.update(pos)
         self.tids.extend(tids)
+        self._tid_array = None
 
     def _like(self, tids, data):
         """A relation over the same schema sharing this one's dictionaries,
@@ -152,6 +153,13 @@ class Relation:
             return self._positions()[tid]
         except KeyError:
             raise KeyError("unknown tid %r" % (tid,)) from None
+
+    def tid_array(self):
+        """``tids`` as an array, built on first use and again after an
+        append."""
+        if self._tid_array is None:
+            self._tid_array = np.asarray(self.tids)
+        return self._tid_array
 
     def copy(self):
         return self._like(list(self.tids), self._data[:, :len(self)].copy())
@@ -192,14 +200,6 @@ class Relation:
     def column(self, attr):
         return list(map(self.values(attr).__getitem__,
                         self.codes(attr).tolist()))
-
-    def project(self, attrs):
-        """Duplicate-free set of value vectors restricted to ``attrs``."""
-        return set(zip(*(self.column(a) for a in attrs)))
-
-    def bag_project(self, attrs):
-        """Multiset of value vectors restricted to ``attrs``."""
-        return Counter(zip(*(self.column(a) for a in attrs)))
 
     def select_by_tids(self, tids):
         """Subrelation with exactly the requested tuples, in original order."""

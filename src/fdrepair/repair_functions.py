@@ -4,6 +4,13 @@ All built-ins are preservative (the chosen value is always a bag member),
 hence idempotent and unable to introduce values absent from the input.
 NULL participates as an ordinary candidate in the voting functions but
 loses every tie against a constant; for max it is the minimum.
+
+The voting functions ``mv`` and ``wv`` declare their weights through
+``RepairFunction.vote_exponent``; ``priority.fix`` then resolves every
+conflicting class at once with an array vote on the relation's codes and
+never calls them. ``majority_vote`` and ``weighted_vote`` are the per-bag
+definitions that vote reproduces, draws from the rng included. ``max`` and
+user-supplied functions are called once per class.
 """
 
 from collections import Counter
@@ -60,10 +67,18 @@ def max_value(values):
 
 @dataclass
 class RepairFunction:
-    """A named bag-to-value function plus its preservative capability flag."""
+    """A named bag-to-value function plus its preservative capability flag.
+
+    A set ``vote_exponent`` e marks a voting function: it returns a value of
+    largest summed weight ``(schema_width - N) ** e`` over its bag entries,
+    N being the NULL count of each entry's tuple; a constant beats NULL on
+    a tie, and tied constants are settled by ``rng.choice`` of them sorted.
+    ``fix`` votes for such functions on codes instead of calling them.
+    """
     name: str
     preservative: bool
     _pick: callable
+    vote_exponent: int = None
 
     def __call__(self, values, null_counts, schema_width, rng):
         value = self._pick(values, null_counts, schema_width, rng)
@@ -73,8 +88,11 @@ class RepairFunction:
         return value
 
 
-MV = RepairFunction("mv", True, lambda vs, ns, w, rng: majority_vote(vs, rng))
-WV = RepairFunction("wv", True, lambda vs, ns, w, rng: weighted_vote(vs, ns, w, rng))
+MV = RepairFunction("mv", True, lambda vs, ns, w, rng: majority_vote(vs, rng),
+                    vote_exponent=0)
+WV = RepairFunction("wv", True,
+                    lambda vs, ns, w, rng: weighted_vote(vs, ns, w, rng),
+                    vote_exponent=4)
 MAX = RepairFunction("max", True, lambda vs, ns, w, rng: max_value(vs))
 
 BUILTINS = {fn.name: fn for fn in (MV, WV, MAX)}

@@ -15,6 +15,7 @@ from .partition import (build_preorder, induced_partition, fds_entering_at,
                         check_forward_repairable)
 from .priority import (ChangeLog, RepairInvariantError, RepairStats,
                        priority_repair)
+from .relation import SchemaError
 from .repair_functions import get_function, RepairFunction
 
 
@@ -57,10 +58,15 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
     """Repair ``rel`` so that every FD in ``fds`` is satisfied.
 
     ``priority_override`` maps a 1-based class index to a manually supplied
-    attribute order for that class. Returns a RepairOutcome; ``rel`` itself
-    is left untouched.
+    attribute order for that class, which must name every attribute of the
+    class. Returns a RepairOutcome; ``rel`` itself is left untouched.
+    Raises SchemaError for an FD over an attribute outside the schema.
     """
     t0 = time.perf_counter()
+    for fd in fds:
+        for a in sorted(fd.attributes):
+            if a not in rel.schema:
+                raise SchemaError("FD %s uses unknown attribute %r" % (fd, a))
     if seed is None:
         seed = random.randrange(2**32)
     rng = random.Random(seed)
@@ -79,11 +85,16 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
     outcomes = []
     for i, cls in enumerate(part.classes, start=1):
         fds_i = fds_entering_at(cover, part, i)
+        priority = (priority_override or {}).get(i)
+        missing = sorted(set(cls) - set(cls if priority is None else priority))
+        if missing:
+            raise ValueError("priority_override for class %d leaves out %s"
+                             % (i, ", ".join(missing)))
         tc = time.perf_counter()
         stats = priority_repair(
             repaired, fds_i, cls, functions, rng,
             change_log=change_log,
-            priority=(priority_override or {}).get(i),
+            priority=priority,
             null_equals_null=null_equals_null,
             skip_unary_revision=skip_unary_revision)
         outcomes.append(ClassOutcome(list(cls), stats, time.perf_counter() - tc))

@@ -2,14 +2,14 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdrepair import (FD, DisjointSetForest, Relation, Schema,
                       estimate_priority, fix, minimal_cover, pilot_fds,
                       priority_repair, resolve_functions, skip_revision_unary,
                       update_dsf, vio, vio_fd, violates)
 from fdrepair.priority import ChangeLog, RepairStats
-from fdrepair.repair_functions import BUILTINS, MV, RepairFunction
+from fdrepair.repair_functions import BUILTINS, MV, WV, RepairFunction
 
 NAME_PROV = FD(frozenset({"hospital name"}), "#provider")
 PROV_NAME = FD(frozenset({"#provider"}), "hospital name")
@@ -180,9 +180,15 @@ def fix_reference(rel, rows, fd, forest, fn, rng, null_equals_null):
     return fixes, log
 
 
+# A user-supplied, non-voting function, called once per class: its pick
+# depends on the bag's order, the NULL counts and the rng.
+FEWEST_NULLS = RepairFunction("fewest-nulls", True, lambda vs, ns, w, rng: vs[
+    min(range(len(vs)), key=lambda i: (ns[i], rng.random()))])
+
+
 @settings(max_examples=150, deadline=None)
-@given(cells, st.sampled_from(sorted(BUILTINS)), st.booleans(),
-       st.randoms(use_true_random=False))
+@given(cells, st.sampled_from([*BUILTINS.values(), FEWEST_NULLS]),
+       st.booleans(), st.randoms(use_true_random=False))
 def test_vio_and_fix_match_row_loop_reference(rows, fn, null_equals_null,
                                              rng):
     # same results and the same draws from the rng, with tids out of row
@@ -200,14 +206,53 @@ def test_vio_and_fix_match_row_loop_reference(rows, fn, null_equals_null,
     for fd in (FD(frozenset("a"), "c"), FD(frozenset("b"), "c")):
         got_rng, ref_rng = random.Random(seed), random.Random(seed)
         log = ChangeLog()
-        fixes = fix(rel, fd, forest, BUILTINS[fn], got_rng, change_log=log,
+        fixes = fix(rel, fd, forest, fn, got_rng, change_log=log,
                     null_equals_null=null_equals_null)
         assert (fixes, log) == fix_reference(rel, ref_rows, fd, ref_forest,
-                                             BUILTINS[fn], ref_rng,
-                                             null_equals_null)
+                                             fn, ref_rng, null_equals_null)
         assert rel.rows == ref_rows
         assert got_rng.getstate() == ref_rng.getstate()
         assert forest.classes() == ref_forest.classes()
+
+
+# classes of (value, NULLs among p and q) entries over a small domain, so
+# that ties are common
+vote_bags = st.lists(st.lists(
+    st.tuples(st.sampled_from(["x", "y", "z", None]), st.integers(0, 2)),
+    min_size=1, max_size=6), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vote_bags, st.booleans(), st.sampled_from([MV, WV]),
+       st.randoms(use_true_random=False))
+# two or more tied constants; a constant tied with NULL; an all-NULL top
+@example([[("x", 0), ("y", 0), ("z", 1), ("z", 1)]], False, MV,
+         random.Random(0))
+@example([[("y", 0), (None, 0)], [("x", 1), (None, 1)]], False, WV,
+         random.Random(1))
+@example([[(None, 0), (None, 1), ("x", 0)]], False, MV, random.Random(2))
+# zero-weight rows: every cell NULL, so (4 - 4) ** 4 == 0 under wv
+@example([[(None, 2), (None, 2), ("x", 2)], [(None, 2), ("y", 0)]], True, WV,
+         random.Random(3))
+def test_array_vote_matches_per_class_vote(bags, null_key, fn, rng):
+    # fix's array vote against majority_vote/weighted_vote called class by
+    # class: same winners, same changed cells and the same rng draws
+    rows = [[None if null_key and i == 0 else str(i), v,
+             *[None] * n, *["f"] * (2 - n)]
+            for i, bag in enumerate(bags) for v, n in bag]
+    tids = rng.sample(range(1, 1000), len(rows))
+    rel = Relation(Schema(["k", "v", "p", "q"]), tids, rows)
+    ref_rows = [list(row) for row in rel.rows]
+    fd = FD(frozenset("k"), "v")
+    seed = rng.randrange(1000)
+    got_rng, ref_rng = random.Random(seed), random.Random(seed)
+    log = ChangeLog()
+    fixes = fix(rel, fd, DisjointSetForest(tids), fn, got_rng, change_log=log)
+    ref = fix_reference(rel, ref_rows, fd, DisjointSetForest(tids),
+                        fn, ref_rng, True)
+    assert (fixes, log) == ref
+    assert rel.rows == ref_rows
+    assert got_rng.getstate() == ref_rng.getstate()
 
 
 def test_fix_hospital_first_fd(hospital_snippet):

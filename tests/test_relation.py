@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fdrepair import Relation, Schema, SchemaError, load_csv, save_csv
+from fdrepair import Relation, Schema, load_csv, save_csv
 
 
 def make_rel(attrs, rows):
@@ -11,36 +11,13 @@ def make_rel(attrs, rows):
     return rel
 
 
-def test_project_collapses_duplicates():
-    rel = make_rel(["a", "b"], [["1", "2"], ["1", "3"]])
-    assert rel.project(["a"]) == {("1",)}
-
-
-def test_project_hospital_names(hospital_snippet):
-    assert len(hospital_snippet.project(["hospital name"])) == 2
-
-
-def test_project_empty_relation():
-    assert make_rel(["a"], []).project(["a"]) == set()
-
-
-def test_project_unknown_attribute():
-    with pytest.raises(SchemaError):
-        make_rel(["a"], []).project(["nope"])
-
-
-def test_bag_project_counts():
-    rel = make_rel(["b"], [["2"], ["2"], ["3"]])
-    assert rel.bag_project(["b"]) == {("2",): 2, ("3",): 1}
-
-
-def test_bag_project_provider_majority(hospital_snippet):
-    bag = hospital_snippet.select_by_tids({1, 2, 3, 4}).bag_project(["#provider"])
-    assert bag[("10006",)] == 3
-
-
-def test_bag_project_empty():
-    assert make_rel(["b"], []).bag_project(["b"]) == {}
+def test_tid_array_follows_appends():
+    rel = make_rel(["a"], [["x"], ["y"]])
+    assert rel.tid_array().tolist() == [1, 2]
+    assert rel.tid_array() is rel.tid_array()
+    rel.append(7, ["z"])
+    assert rel.tid_array().tolist() == [1, 2, 7]
+    assert rel.select_by_tids({2, 7}).tid_array().tolist() == [2, 7]
 
 
 def test_select_by_tids(hospital_snippet):
@@ -118,12 +95,3 @@ def test_csv_round_trip(tmp_path_factory, rows):
     assert back.schema == rel.schema
     assert back.tids == rel.tids
     assert back.rows == rel.rows
-
-
-@given(st.lists(st.lists(cell, min_size=3, max_size=3), max_size=30),
-       st.sets(st.sampled_from(["a", "b", "c"]), min_size=1))
-def test_bag_project_conserves_multiplicity(rows, attrs):
-    rel = make_rel(["a", "b", "c"], rows)
-    bag = rel.bag_project(sorted(attrs))
-    assert sum(bag.values()) == len(rel)
-    assert set(bag) == rel.project(sorted(attrs))

@@ -1,7 +1,7 @@
 import pytest
 
-from fdrepair import (FD, GenConfig, Relation, Schema, generate, swipe,
-                      violates)
+from fdrepair import (FD, GenConfig, Relation, Schema, SchemaError, generate,
+                      swipe, violates)
 
 
 def test_hospital_snippet_repair(hospital_snippet, hospital_fds):
@@ -71,6 +71,22 @@ def test_priority_override(hospital_snippet, hospital_fds):
 def test_schema_mismatch_rejected(hospital_snippet):
     with pytest.raises(Exception):
         swipe(hospital_snippet, [FD(frozenset({"nope"}), "city")], seed=0)
+
+
+def test_unknown_fd_attribute_is_schema_error(hospital_snippet):
+    fd = FD(frozenset({"city"}), "zz")
+    with pytest.raises(SchemaError, match="FD city -> zz uses unknown "
+                                          "attribute 'zz'"):
+        swipe(hospital_snippet, [fd], seed=0)
+
+
+def test_partial_priority_override_is_value_error(hospital_snippet,
+                                                  hospital_fds):
+    for order in (["hospital name"], []):
+        with pytest.raises(ValueError, match="priority_override for class 1 "
+                                             "leaves out #provider"):
+            swipe(hospital_snippet, hospital_fds, seed=0,
+                  priority_override={1: order})
 
 
 def test_fuzz_repairs_satisfy_all_fds():
