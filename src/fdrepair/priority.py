@@ -16,18 +16,14 @@ the first poll, which is what makes the skip sound there (see
 as a backstop.
 
 All of it runs on the relation's integer codes. One grouping primitive,
-``group_rows``, turns an lhs into group ids: ``update_dsf`` merges each
-group into the forest in bulk, and ``fix`` finds the forest classes holding
-two or more rhs values with array operations. One counting kernel,
-``_tally``, sums votes per (group, code) pair and finds each group's top
-for both Vio (lhs groups, one vote per row) and ``fix`` (forest classes,
-weighted by the voting repair function); each keeps its own tie rule. Vio
-draws among all tied values, NULL included and sorted last, groups in order
-of their first row. ``fix`` lets a constant beat NULL and draws among tied
-constants, classes in order of their least tid, exactly as ``mv``/``wv``
-would class by class; ``max`` and user-supplied functions are called once
-per class, bags in tid order. Results and the seeded rng stream are those
-of a row-by-row run.
+``group_rows``, turns an lhs into group ids, which ``update_dsf`` merges
+into the forest in bulk; ``fix`` finds the forest classes holding two or
+more rhs values with array operations. One counting kernel, ``_tally``,
+sums votes per (group, code) pair both for Vio (lhs groups, one vote per
+row) and for the array vote ``fix`` runs for ``mv``/``wv`` (forest classes,
+weighted as the function declares); each keeps its own tie rule (see
+``_minority_rows`` and ``fix``). Other repair functions are called once per
+class. Results and the seeded rng stream are those of a row-by-row run.
 """
 
 import heapq
@@ -111,8 +107,8 @@ def _tally(groups, codes, weights=None):
     each row. Totals are exact integers.
     """
     k = int(codes.max()) + 1
-    pairs, row_pair = np.unique(groups.astype(np.int64) * k + codes,
-                                return_inverse=True)
+    pairs, row_pair = np.unique(groups.astype(np.int64, copy=False) * k
+                                + codes, return_inverse=True)
     if weights is None:
         totals = np.bincount(row_pair)
     else:
@@ -245,8 +241,8 @@ def _vote(rel, fd, fn, rng, rows, tids, comp):
     # a constant beats NULL: a NULL top stays in the pool only when alone
     n_top = np.bincount(group[top])
     pool = top & ((code != NULL) | (n_top[group] == 1))
-    new = _winners(group, code, pool, least, rel.values(fd.rhs),
-                   rng)[row_group]
+    winner = _winners(group, code, pool, least, rel.values(fd.rhs), rng)
+    new = winner.astype(old.dtype)[row_group]
     changed = np.flatnonzero(new != old)
     changed = changed[np.lexsort((tids[changed],
                                   least[row_group[changed]]))]
@@ -300,12 +296,13 @@ def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
     resolve = _call_per_class if fn.vote_exponent is None else _vote
     rows, tids, old, new, n_classes = resolve(
         rel, fd, fn, rng, rows, rel.tid_array()[rows], comp)
-    changed = np.flatnonzero(new != old)
+    changed = new != old
+    if not changed.all():
+        rows, tids, old, new = (a[changed] for a in (rows, tids, old, new))
     if change_log is not None:
-        change_log.record(tids[changed], fd.rhs, rel.values(fd.rhs),
-                          old[changed], new[changed])
+        change_log.record(tids, fd.rhs, rel.values(fd.rhs), old, new)
     if stats is not None:
-        stats.cells_changed += len(changed)
+        stats.cells_changed += len(rows)
     codes[rows] = new
     return n_classes
 

@@ -5,12 +5,10 @@ hence idempotent and unable to introduce values absent from the input.
 NULL participates as an ordinary candidate in the voting functions but
 loses every tie against a constant; for max it is the minimum.
 
-The voting functions ``mv`` and ``wv`` declare their weights through
-``RepairFunction.vote_exponent``; ``priority.fix`` then resolves every
-conflicting class at once with an array vote on the relation's codes and
-never calls them. ``majority_vote`` and ``weighted_vote`` are the per-bag
-definitions that vote reproduces, draws from the rng included. ``max`` and
-user-supplied functions are called once per class.
+``mv`` and ``wv`` are voting functions (``RepairFunction.vote_exponent``):
+``priority.fix`` reproduces ``majority_vote``/``weighted_vote``, rng draws
+included, with one array vote over all classes and never calls them.
+``max`` and user-supplied functions are called once per class.
 """
 
 from collections import Counter
@@ -78,7 +76,7 @@ class RepairFunction:
     name: str
     preservative: bool
     _pick: callable
-    vote_exponent: int = None
+    vote_exponent: int | None = None
 
     def __call__(self, values, null_counts, schema_width, rng):
         value = self._pick(values, null_counts, schema_width, rng)

@@ -225,11 +225,13 @@ vote_bags = st.lists(st.lists(
 @settings(max_examples=300, deadline=None)
 @given(vote_bags, st.booleans(), st.sampled_from([MV, WV]),
        st.randoms(use_true_random=False))
-# two or more tied constants; a constant tied with NULL; an all-NULL top
-@example([[("x", 0), ("y", 0), ("z", 1), ("z", 1)]], False, MV,
-         random.Random(0))
-@example([[("y", 0), (None, 0)], [("x", 1), (None, 1)]], False, WV,
-         random.Random(1))
+# two or more tied constants
+@example([[("x", 0), ("y", 0), ("z", 1)], [("x", 0), ("y", 1), ("x", 1),
+          ("y", 0)]], False, MV, random.Random(0))
+# a constant tied with NULL (under wv, 3 ** 4 for one NULL each)
+@example([[("y", 0), (None, 0)]], False, MV, random.Random(1))
+@example([[("x", 1), (None, 0)]], False, WV, random.Random(1))
+# an all-NULL top
 @example([[(None, 0), (None, 1), ("x", 0)]], False, MV, random.Random(2))
 # zero-weight rows: every cell NULL, so (4 - 4) ** 4 == 0 under wv
 @example([[(None, 2), (None, 2), ("x", 2)], [(None, 2), ("y", 0)]], True, WV,
