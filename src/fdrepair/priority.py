@@ -21,9 +21,11 @@ into the forest in bulk; ``fix`` finds the forest classes holding two or
 more rhs values with array operations. One counting kernel, ``_tally``,
 sums votes per (group, code) pair both for Vio (lhs groups, one vote per
 row) and for the array vote ``fix`` runs for ``mv``/``wv`` (forest classes,
-weighted as the function declares); each keeps its own tie rule (see
-``_minority_rows`` and ``fix``). Other repair functions are called once per
-class. Results and the seeded rng stream are those of a row-by-row run.
+weighted as the function declares). Each keeps its own tie rule: Vio
+settles ties itself (see ``_minority_rows``), and the vote hands a class
+whose top is tied to the repair function. Other repair functions are
+called once per class. Results and the seeded rng stream are those of a
+row-by-row run.
 """
 
 import heapq
@@ -101,10 +103,10 @@ def _tally(groups, codes, weights=None):
     """Sum ``weights`` (1 per row by default) per (group, code) pair of the
     rows, and find each group's top.
 
-    Returns ``(group, code, top, row_group)``: for each distinct pair, in
-    ascending (group, code) order, its dense group index, its code, and
-    whether its total is its group's largest; and the dense group index of
-    each row. Totals are exact integers.
+    Returns ``(row_group, n_top, winner, tops)``: the dense group index of
+    each row; per group, how many codes share its largest total and one of
+    those codes; and the (group, code) pairs at their group's top, as two
+    arrays in ascending (group, code) order. Totals are exact integers.
     """
     k = int(codes.max()) + 1
     pairs, row_pair = np.unique(groups.astype(np.int64, copy=False) * k
@@ -116,28 +118,12 @@ def _tally(groups, codes, weights=None):
         np.add.at(totals, row_pair, weights)
     is_first = np.diff(pairs // k, prepend=-1) != 0
     group = np.cumsum(is_first) - 1
-    top = np.maximum.reduceat(totals, np.flatnonzero(is_first))
-    return group, pairs % k, totals == top[group], group[row_pair]
-
-
-def _winners(group, code, pool, order, values, rng):
-    """Each group's winning code: its one ``pool`` pair's code, or
-    ``rng.choice`` among two or more sorted by value with NULL last.
-    Groups with such a tie draw in ascending ``order`` (one key per group);
-    the others draw nothing."""
-    n_pool = np.bincount(group[pool], minlength=len(order))
-    winner = np.zeros(len(order), dtype=code.dtype)
-    winner[group[pool]] = code[pool]
-    tied = np.flatnonzero(n_pool > 1)
-    if len(tied):
-        candidates = {}
-        is_tied = pool & (n_pool[group] > 1)
-        for g, c in zip(group[is_tied].tolist(), code[is_tied].tolist()):
-            candidates.setdefault(g, []).append(c)
-        for g in tied[np.argsort(order[tied], kind="stable")].tolist():
-            winner[g] = rng.choice(sorted(candidates[g], key=lambda c: (
-                c == NULL, values[c])))
-    return winner
+    top = totals == np.maximum.reduceat(totals, np.flatnonzero(is_first))[group]
+    top_group, top_code = group[top], (pairs % k)[top]
+    winner = np.zeros(group[-1] + 1, dtype=codes.dtype)
+    winner[top_group] = top_code
+    return (group[row_pair], np.bincount(top_group), winner,
+            (top_group, top_code))
 
 
 def _group_min(row_group, keys, n_groups):
@@ -162,9 +148,19 @@ def _minority_rows(rel, fd, rng, null_equals_null):
     if not len(rows):
         return minority
     codes = rel.codes(fd.rhs)[rows]
-    group, code, top, row_group = _tally(ids[rows], codes)
-    first = _group_min(row_group, np.arange(len(rows)), group[-1] + 1)
-    winner = _winners(group, code, top, first, rel.values(fd.rhs), rng)
+    row_group, n_top, winner, (top_group, top_code) = _tally(ids[rows], codes)
+    tied = np.flatnonzero(n_top > 1)
+    if len(tied):
+        candidates = {}
+        is_tied = n_top[top_group] > 1
+        for g, c in zip(top_group[is_tied].tolist(),
+                        top_code[is_tied].tolist()):
+            candidates.setdefault(g, []).append(c)
+        first = _group_min(row_group, np.arange(len(rows)), len(n_top))
+        values = rel.values(fd.rhs)
+        for g in tied[np.argsort(first[tied], kind="stable")].tolist():
+            winner[g] = rng.choice(sorted(candidates[g], key=lambda c: (
+                c == NULL, values[c])))
     minority[rows] = codes != winner[row_group]
     return minority
 
@@ -227,47 +223,37 @@ def _null_counts(rel, rows):
                for a in rel.schema.attributes)
 
 
-def _vote(rel, fd, fn, rng, rows, tids, comp):
-    """Resolve every class of a voting function at once; returns the rows
-    whose code changes, in change-log order, with their tids, old and new
-    codes, and the number of classes."""
-    old = rel.codes(fd.rhs)[rows]
+def _vote(rel, fn, rows, classes, old):
+    """Sum a voting function's weights per (class, code) pair of the rows.
+
+    Returns each row's dense class index, its class's top code, and a mask
+    of the rows whose class has two or more codes sharing the top; the top
+    code of such a class is one of them, left for ``fn`` to settle.
+    """
     weights = None
     if fn.vote_exponent:
         nulls = _null_counts(rel, rows)
         weights = (len(rel.schema) - nulls) ** fn.vote_exponent
-    group, code, top, row_group = _tally(comp[rows], old, weights)
-    least = _group_min(row_group, tids, group[-1] + 1)
-    # a constant beats NULL: a NULL top stays in the pool only when alone
-    n_top = np.bincount(group[top])
-    pool = top & ((code != NULL) | (n_top[group] == 1))
-    winner = _winners(group, code, pool, least, rel.values(fd.rhs), rng)
-    new = winner.astype(old.dtype)[row_group]
-    changed = np.flatnonzero(new != old)
-    changed = changed[np.lexsort((tids[changed],
-                                  least[row_group[changed]]))]
-    return (rows[changed], tids[changed], old[changed], new[changed],
-            len(least))
+    row_class, n_top, winner, _ = _tally(classes, old, weights)
+    return row_class, winner[row_class], n_top[row_class] > 1
 
 
-def _call_per_class(rel, fd, fn, rng, rows, tids, comp):
-    """Call ``fn`` once per class, classes by least tid and bags in tid
-    order; returns the class rows in that order with their tids, old and
-    new codes, and the number of classes."""
-    classes, row_class = np.unique(comp[rows], return_inverse=True)
-    least = _group_min(row_class, tids, len(classes))[row_class]
+def _call_per_class(rel, fd, fn, rng, rows, tids, least):
+    """Call ``fn`` once per class (the rows sharing a ``least`` tid),
+    classes by least tid and each bag's values and NULL counts in tid
+    order; returns each row's new code."""
     order = np.lexsort((tids, least))
-    rows, tids, least = rows[order], tids[order], least[order]
+    rows, least = rows[order], least[order]
     bounds = [0, *(np.flatnonzero(np.diff(least)) + 1).tolist(), len(rows)]
-    old = rel.codes(fd.rhs)[rows]
-    bag = list(map(rel.values(fd.rhs).__getitem__, old.tolist()))
+    bag = list(map(rel.values(fd.rhs).__getitem__,
+                   rel.codes(fd.rhs)[rows].tolist()))
     null_counts = _null_counts(rel, rows).tolist()
     width = len(rel.schema)
-    new = np.empty_like(old)
+    new = np.empty(len(rows), dtype=rel.codes(fd.rhs).dtype)
     for start, end in zip(bounds, bounds[1:]):
         v_fix = fn(bag[start:end], null_counts[start:end], width, rng)
-        new[start:end] = rel.encode(fd.rhs, v_fix)
-    return rows, tids, old, new, len(classes)
+        new[order[start:end]] = rel.encode(fd.rhs, v_fix)
+    return new
 
 
 def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
@@ -276,16 +262,17 @@ def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
     class showing more than one rhs value with the repair function.
     Returns the number of violated classes.
 
-    A voting function (``fn.vote_exponent`` set) resolves all classes in
-    one array vote on codes: weights are summed per (class, code) pair, a
-    constant beats NULL, and each class with two or more tied constants
-    draws ``rng.choice`` of them sorted, classes in order of their least
-    tid, exactly as ``repair_functions.majority_vote``/``weighted_vote``
-    would class by class. Each winner is a (class, code) pair occurring in
-    the class, so the vote is preservative by construction. Any other
-    function is called once per class, classes in order of their least tid
-    and each bag's values and NULL counts in tid order. Either way the
-    change log lists classes by least tid and cells by tid.
+    A voting function (``fn.vote_exponent`` set) first votes on codes over
+    all classes at once: weights are summed per (class, code) pair, and a
+    class whose top is one code takes it, which is the value ``fn`` would
+    return, since no tie arises. Each winner is a (class, code) pair
+    occurring in the class, so this vote is preservative by construction.
+    The classes whose top is tied, and every class of any other function,
+    are passed to ``fn`` itself, once per class, classes in order of their
+    least tid and each bag's values and NULL counts in tid order; so the
+    rng draws the ties of ``majority_vote``/``weighted_vote`` exactly as a
+    call per class would. The change log lists classes by least tid and
+    cells by tid.
     """
     update_dsf(rel, fd, dsf, null_equals_null)
     codes = rel.codes(fd.rhs)
@@ -293,12 +280,22 @@ def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
     rows = np.flatnonzero(mixed_rows(comp, codes))
     if not len(rows):
         return 0
-    resolve = _call_per_class if fn.vote_exponent is None else _vote
-    rows, tids, old, new, n_classes = resolve(
-        rel, fd, fn, rng, rows, rel.tid_array()[rows], comp)
-    changed = new != old
-    if not changed.all():
-        rows, tids, old, new = (a[changed] for a in (rows, tids, old, new))
+    tids = rel.tid_array()[rows]
+    old = codes[rows]
+    if fn.vote_exponent is None:
+        _, row_class = np.unique(comp[rows], return_inverse=True)
+        new = np.empty_like(old)
+        called = np.ones(len(rows), dtype=bool)
+    else:
+        row_class, new, called = _vote(rel, fn, rows, comp[rows], old)
+    n_classes = int(row_class.max()) + 1
+    least = _group_min(row_class, tids, n_classes)[row_class]
+    if called.any():
+        new[called] = _call_per_class(rel, fd, fn, rng, rows[called],
+                                      tids[called], least[called])
+    changed = np.flatnonzero(new != old)
+    changed = changed[np.lexsort((tids[changed], least[changed]))]
+    rows, tids, old, new = (a[changed] for a in (rows, tids, old, new))
     if change_log is not None:
         change_log.record(tids, fd.rhs, rel.values(fd.rhs), old, new)
     if stats is not None:

@@ -6,9 +6,9 @@ NULL participates as an ordinary candidate in the voting functions but
 loses every tie against a constant; for max it is the minimum.
 
 ``mv`` and ``wv`` are voting functions (``RepairFunction.vote_exponent``):
-``priority.fix`` reproduces ``majority_vote``/``weighted_vote``, rng draws
-included, with one array vote over all classes and never calls them.
-``max`` and user-supplied functions are called once per class.
+``priority.fix`` counts their votes over all classes at once in one array
+vote and calls them only for the classes whose top is tied, to settle the
+tie. ``max`` and user-supplied functions are called once per class.
 """
 
 from collections import Counter
@@ -71,7 +71,9 @@ class RepairFunction:
     largest summed weight ``(schema_width - N) ** e`` over its bag entries,
     N being the NULL count of each entry's tuple; a constant beats NULL on
     a tie, and tied constants are settled by ``rng.choice`` of them sorted.
-    ``fix`` votes for such functions on codes instead of calling them.
+    ``fix`` trusts the exponent: it votes on codes and calls the function
+    only for a class whose top is tied, so ``_pick`` must be such a vote
+    and is never consulted, nor checked as preservative, for the others.
     """
     name: str
     preservative: bool

@@ -60,7 +60,9 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
     ``priority_override`` maps a 1-based class index to a manually supplied
     attribute order for that class, which must name every attribute of the
     class. Returns a RepairOutcome; ``rel`` itself is left untouched.
-    Raises SchemaError for an FD over an attribute outside the schema.
+    Raises SchemaError for an FD over an attribute outside the schema and
+    ValueError for an override of a class that does not exist or that
+    leaves out an attribute of its class, before anything is repaired.
     """
     t0 = time.perf_counter()
     for fd in fds:
@@ -80,21 +82,25 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
     non_repairable = [a for a in rel.schema.attributes
                       if a not in set(part.attributes())]
 
+    for i, priority in sorted((priority_override or {}).items()):
+        if not 1 <= i <= len(part.classes):
+            raise ValueError("priority_override names class %d, but the "
+                             "partition has %d" % (i, len(part.classes)))
+        missing = sorted(set(part.classes[i - 1]) - set(priority))
+        if missing:
+            raise ValueError("priority_override for class %d leaves out %s"
+                             % (i, ", ".join(missing)))
+
     repaired = rel.copy()
     change_log = ChangeLog()
     outcomes = []
     for i, cls in enumerate(part.classes, start=1):
         fds_i = fds_entering_at(cover, part, i)
-        priority = (priority_override or {}).get(i)
-        missing = sorted(set(cls) - set(cls if priority is None else priority))
-        if missing:
-            raise ValueError("priority_override for class %d leaves out %s"
-                             % (i, ", ".join(missing)))
         tc = time.perf_counter()
         stats = priority_repair(
             repaired, fds_i, cls, functions, rng,
             change_log=change_log,
-            priority=priority,
+            priority=(priority_override or {}).get(i),
             null_equals_null=null_equals_null,
             skip_unary_revision=skip_unary_revision)
         outcomes.append(ClassOutcome(list(cls), stats, time.perf_counter() - tc))

@@ -1,7 +1,7 @@
 import pytest
 
-from fdrepair import (FD, GenConfig, Relation, Schema, SchemaError, generate,
-                      swipe, violates)
+from fdrepair import (FD, GenConfig, Relation, RepairFunction, Schema,
+                      SchemaError, generate, swipe, violates)
 
 
 def test_hospital_snippet_repair(hospital_snippet, hospital_fds):
@@ -69,24 +69,35 @@ def test_priority_override(hospital_snippet, hospital_fds):
 
 
 def test_schema_mismatch_rejected(hospital_snippet):
-    with pytest.raises(Exception):
-        swipe(hospital_snippet, [FD(frozenset({"nope"}), "city")], seed=0)
+    for fd, name in ((FD(frozenset({"nope"}), "city"), "nope"),
+                     (FD(frozenset({"city"}), "zz"), "zz")):
+        with pytest.raises(SchemaError, match="FD %s uses unknown attribute "
+                                              "'%s'" % (fd, name)):
+            swipe(hospital_snippet, [fd], seed=0)
 
 
-def test_unknown_fd_attribute_is_schema_error(hospital_snippet):
-    fd = FD(frozenset({"city"}), "zz")
-    with pytest.raises(SchemaError, match="FD city -> zz uses unknown "
-                                          "attribute 'zz'"):
-        swipe(hospital_snippet, [fd], seed=0)
-
-
-def test_partial_priority_override_is_value_error(hospital_snippet,
-                                                  hospital_fds):
-    for order in (["hospital name"], []):
-        with pytest.raises(ValueError, match="priority_override for class 1 "
-                                             "leaves out #provider"):
-            swipe(hospital_snippet, hospital_fds, seed=0,
-                  priority_override={1: order})
+def test_bad_priority_override_is_value_error(hospital_snippet,
+                                              hospital_fds):
+    classes = swipe(hospital_snippet, hospital_fds, seed=0).partition
+    pilot_only = classes.index(["city"]) + 1
+    for override, message in (
+            ({1: ["hospital name"]}, "class 1 leaves out #provider"),
+            ({1: []}, "class 1 leaves out #provider, hospital name"),
+            # a class whose FDs are all pilots uses no order, but the
+            # override must still name its attributes
+            ({pilot_only: []}, "class %d leaves out city" % pilot_only),
+            ({1: ["hospital name", "#provider"], len(classes): []},
+             "class %d leaves out" % len(classes)),
+            ({0: []}, "names class 0, but the partition has %d"
+             % len(classes))):
+        # checked before any class is repaired
+        calls = []
+        spy = RepairFunction("spy", True, lambda vs, ns, w, rng: (
+            calls.append(vs), vs[0])[1])
+        with pytest.raises(ValueError, match=message):
+            swipe(hospital_snippet, hospital_fds, repair_fn=spy, seed=0,
+                  priority_override=override)
+        assert calls == []
 
 
 def test_fuzz_repairs_satisfy_all_fds():
