@@ -19,8 +19,7 @@ from .priority import (RepairStats, estimate_priority, fix, pilot_fds,
                        vio_fd)
 from .relation import Relation, Schema, SchemaError, load_csv, save_csv
 from .repair_functions import (BUILTINS, RepairFunction, get_function,
-                               is_preservative, majority_vote, max_value,
-                               weighted_vote)
+                               majority_vote, max_value, weighted_vote)
 from .swipe import (RepairInvariantError, RepairOutcome, resolve_functions,
                     swipe)
 
@@ -31,7 +30,7 @@ __all__ = [
     "assert_maximally_refined", "attribute_closure", "build_preorder",
     "check_forward_repairable", "estimate_priority", "evaluate", "fix",
     "generate", "get_function", "implies", "induced_partition",
-    "is_preservative", "load_csv", "load_fds",
+    "load_csv", "load_fds",
     "majority_vote", "max_value", "minimal_cover", "parse_fd", "parse_fds",
     "pilot_fds", "priority_repair", "project_fds", "resolve_functions",
     "save_csv", "save_fds", "skip_revision_unary", "swipe", "update_dsf",

@@ -48,11 +48,6 @@ def implies(fds, fd):
     return fd.rhs in attribute_closure(fd.lhs, fds)
 
 
-def equivalent(fds_a, fds_b):
-    return all(implies(fds_b, fd) for fd in fds_a) and \
-        all(implies(fds_a, fd) for fd in fds_b)
-
-
 def minimal_cover(fds):
     """Equivalent FD list with irreducible left-hand sides and no redundant FDs.
 

@@ -21,12 +21,6 @@ class Preorder:
     attributes: list
     matrix: np.ndarray  # matrix[b, a]: b should not occur after a
 
-    def index(self, attr):
-        return self.attributes.index(attr)
-
-    def holds(self, b, a):
-        return bool(self.matrix[self.index(b), self.index(a)])
-
 
 @dataclass
 class Partition:

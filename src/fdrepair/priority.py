@@ -4,16 +4,17 @@ Repairs one partition class at a time. FDs whose whole lhs lies in earlier
 classes (pilot FDs) go first; the rest are ordered by estimated attribute
 reliability: the more tuples an attribute would need changed under
 independent per-FD majority resolution (Vio), the earlier its FDs run.
-A disjoint set forest per attribute records which tuples must end up with
-equal values; fixing an FD merges forest classes and rewrites every
-multi-valued class with the attribute's repair function. When a fix
-changes an attribute appearing in the lhs of an already-processed FD,
-that FD is pushed back for revision; unary FDs whose lhs attribute uses a
-preservative function skip that step. Cyclic unary classes of three or
-more attributes share one forest, built from every FD of the class before
-the first poll, which is what makes the skip sound there (see
-``shares_forest``). A closing sweep re-enqueues anything still violated
-as a backstop.
+Each FD in this order has a pending flag, and the lowest flagged FD is
+polled next. A disjoint set forest per attribute, over the relation's rows
+in order, records which tuples must end up with equal values; fixing an FD
+merges forest classes and rewrites every multi-valued class with the
+attribute's repair function. When a fix changes an attribute appearing in
+the lhs of an already-processed FD, that FD is flagged again for revision;
+unary FDs whose lhs attribute uses a preservative function skip that step.
+Cyclic unary classes of three or more attributes share one forest, built
+from every FD of the class before the first poll, which is what makes the
+skip sound there (see ``shares_forest``). A closing sweep flags anything
+still violated as a backstop.
 
 All of it runs on the relation's integer codes. One grouping primitive,
 ``group_rows``, turns an lhs into group ids, which ``update_dsf`` merges
@@ -28,7 +29,6 @@ called once per class. Results and the seeded rng stream are those of a
 row-by-row run.
 """
 
-import heapq
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -213,9 +213,15 @@ def pilot_fds(class_attrs, fds_i, priority=None):
 
 
 def update_dsf(rel, fd, dsf, null_equals_null=True):
-    """Merge forest classes so tuples with equal lhs values share a root."""
+    """Merge forest classes so tuples with equal lhs values share a root.
+
+    The forest must be over the relation's tids in row order.
+    """
+    if dsf.tids != rel.tids:
+        raise ValueError("the forest's tids are not the relation's tids "
+                         "in row order")
     ids, may = group_rows(rel, sorted(fd.lhs), null_equals_null)
-    dsf.merge(dsf.slots(rel.tids)[may], ids[may])
+    dsf.merge(np.flatnonzero(may), ids[may])
 
 
 def _null_counts(rel, rows):
@@ -276,7 +282,7 @@ def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
     """
     update_dsf(rel, fd, dsf, null_equals_null)
     codes = rel.codes(fd.rhs)
-    comp = dsf.roots()[dsf.slots(rel.tids)]
+    comp = dsf.roots()
     rows = np.flatnonzero(mixed_rows(comp, codes))
     if not len(rows):
         return 0
@@ -339,33 +345,6 @@ def shares_forest(class_attrs, fds_i, functions):
             and all(functions[a].preservative for a in cls))
 
 
-class _FDStack:
-    """Stack of pending FDs that maintains priority order at all times."""
-
-    def __init__(self, fds_in_order):
-        self._rank = {fd: i for i, fd in enumerate(fds_in_order)}
-        self._heap = list(range(len(fds_in_order)))
-        heapq.heapify(self._heap)
-        self._fds = fds_in_order
-        self._pending = set(fds_in_order)
-
-    def __bool__(self):
-        return bool(self._heap)
-
-    def __contains__(self, fd):
-        return fd in self._pending
-
-    def poll(self):
-        fd = self._fds[heapq.heappop(self._heap)]
-        self._pending.discard(fd)
-        return fd
-
-    def add(self, fd):
-        if fd not in self._pending:
-            heapq.heappush(self._heap, self._rank[fd])
-            self._pending.add(fd)
-
-
 def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
                     change_log=None, priority=None, null_equals_null=True,
                     skip_unary_revision=True):
@@ -384,7 +363,7 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
         _, rest = pilot_fds(class_attrs, fds_i, priority)
     stats.priority = list(priority or [])
     ordered = pilots + rest
-    stack = _FDStack(ordered)
+    pending = [True] * len(ordered)  # polled lowest index first
     if shares_forest(class_attrs, fds_i, functions):
         shared = DisjointSetForest(rel.tids)
         for fd in ordered:
@@ -397,33 +376,35 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
     # polls are bounded by roughly |fds_i| * (n + 1).
     budget = (len(ordered) + 1) * (len(rel) + 2)
     while True:
-        while stack:
+        while True in pending:
             budget -= 1
             if budget < 0:
                 raise RepairInvariantError(
                     "priority repair exceeded its iteration bound")
-            fd = stack.poll()
+            i = pending.index(True)
+            pending[i] = False
+            fd = ordered[i]
             stats.polls_per_fd[fd] += 1
             fixes = fix(rel, fd, forests[fd.rhs], functions[fd.rhs], rng,
                         stats, change_log, null_equals_null)
             stats.fixes_per_fd[fd] += fixes
             if fixes:
-                for other in ordered:
-                    if other in stack or fd.rhs not in other.lhs:
+                for j, other in enumerate(ordered):
+                    if pending[j] or fd.rhs not in other.lhs:
                         continue
                     if skip_unary_revision and skip_revision_unary(other, functions):
                         continue
-                    stack.add(other)
+                    pending[j] = True
                     stats.revisions += 1
         # Closing sweep: the backstop for the unary-revision shortcut, which
-        # re-enqueues anything a skipped revision left violated. Shared
+        # flags again anything a skipped revision left violated. Shared
         # forests make the shortcut sound on cyclic classes of three or more
         # attributes; NULL-unequal two-attribute classes with pilot FDs can
         # still need it.
-        still_bad = [fd for fd in ordered
+        still_bad = [j for j, fd in enumerate(ordered)
                      if violates(rel, fd, null_equals_null)]
         if not still_bad:
             return stats
-        for fd in still_bad:
-            stack.add(fd)
+        for j in still_bad:
+            pending[j] = True
             stats.revisions += 1

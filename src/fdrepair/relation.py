@@ -162,7 +162,14 @@ class Relation:
         return self._tid_array
 
     def copy(self):
-        return self._like(list(self.tids), self._data[:, :len(self)].copy())
+        """A copy sharing this relation's dictionaries, which only ever gain
+        values, so a code keeps its value in both."""
+        rel = Relation(self.schema)
+        rel.tids = list(self.tids)
+        rel._pos = None
+        rel._data = self._data[:, :len(self)].copy()
+        rel._dicts = self._dicts
+        return rel
 
     # ------------------------------------------------------------ encoded
 
@@ -200,15 +207,6 @@ class Relation:
     def column(self, attr):
         return list(map(self.values(attr).__getitem__,
                         self.codes(attr).tolist()))
-
-    def select_by_tids(self, tids):
-        """Subrelation with exactly the requested tuples, in original order."""
-        wanted = set(tids)
-        unknown = wanted - self._positions().keys()
-        if unknown:
-            raise KeyError("unknown tids %r" % (sorted(unknown),))
-        keep = [i for i, tid in enumerate(self.tids) if tid in wanted]
-        return self._like([self.tids[i] for i in keep], self._data[:, keep])
 
 
 def load_csv(path, null_token="", tid_column=None):

@@ -104,7 +104,3 @@ def get_function(name):
     except KeyError:
         raise ValueError("unknown repair function %r (choose from %s)"
                          % (name, ", ".join(sorted(BUILTINS)))) from None
-
-
-def is_preservative(fn):
-    return fn.preservative

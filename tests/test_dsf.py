@@ -1,16 +1,19 @@
-import random
-import time
-
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdrepair import DisjointSetForest
 
 
+def merge_pairs(d, pairs):
+    """Merge each pair of rows into one class, through one ``merge``."""
+    rows = np.array(pairs, dtype=np.intp).reshape(-1)
+    d.merge(rows, np.repeat(np.arange(len(pairs)), 2))
+
+
 def test_makeset_self_root():
-    d = DisjointSetForest()
-    d.makeset(1)
-    assert d.find(1) == 1
+    d = DisjointSetForest([7, 3, 5])
+    assert d.roots().tolist() == [0, 1, 2]
 
 
 def test_makeset_counts():
@@ -19,46 +22,39 @@ def test_makeset_counts():
 
 
 def test_makeset_duplicate_rejected():
-    d = DisjointSetForest([1])
-    with pytest.raises(ValueError):
-        d.makeset(1)
+    with pytest.raises(ValueError, match="1"):
+        DisjointSetForest([1, 2, 1])
 
 
 def test_union_connects():
     d = DisjointSetForest([1, 2])
-    assert d.union(1, 2)
-    assert d.find(1) == d.find(2)
+    merge_pairs(d, [(0, 1)])
+    assert d.roots()[0] == d.roots()[1]
 
 
 def test_union_same_element():
-    d = DisjointSetForest([1])
-    assert not d.union(1, 1)
+    d = DisjointSetForest([1, 2])
+    merge_pairs(d, [(0, 0)])
+    assert d.classes() == [[1], [2]]
+    assert d.class_count == 2
 
 
 def test_union_decrements_class_count():
     d = DisjointSetForest([1, 2])
-    d.union(1, 2)
+    merge_pairs(d, [(0, 1)])
     assert d.class_count == 1
 
 
-def test_find_unknown():
-    with pytest.raises(KeyError):
-        DisjointSetForest().find(3)
-
-
-def example_forest():
-    d = DisjointSetForest(range(1, 7))
-    for a, b in [(1, 2), (2, 3), (3, 4), (5, 6)]:
-        d.union(a, b)
-    return d
-
-
 def test_paper_style_classes():
-    d = example_forest()
+    d = DisjointSetForest(range(1, 7))
+    # rows 0..5 hold tids 1..6; two lhs groups, then two pairs chaining them
+    d.merge(np.array([0, 1, 4, 5]), np.array([0, 0, 1, 1]))
+    merge_pairs(d, [(1, 2), (2, 3)])
     assert d.classes() == [[1, 2, 3, 4], [5, 6]]
-    assert d.find(3) == d.find(1)
-    assert d.find(5) == d.find(6)
-    assert d.find(1) != d.find(5)
+    roots = d.roots()
+    assert roots[2] == roots[0]
+    assert roots[4] == roots[5]
+    assert roots[0] != roots[4]
     assert d.class_count == 2
 
 
@@ -68,8 +64,7 @@ def test_classes_fresh():
 
 def test_classes_all_union():
     d = DisjointSetForest(range(5))
-    for i in range(4):
-        d.union(i, i + 1)
+    merge_pairs(d, [(i, i + 1) for i in range(4)])
     assert d.classes() == [list(range(5))]
 
 
@@ -93,61 +88,20 @@ class QuotientOracle:
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 100), st.lists(st.tuples(st.integers(0, 99),
-                                               st.integers(0, 99)), max_size=200))
-def test_matches_quotient_oracle(n, unions):
+                                               st.integers(0, 99)), max_size=200),
+       st.integers(1, 50))
+def test_matches_quotient_oracle(n, unions, batch):
+    # pairs are merged ``batch`` at a time, so later merges start from
+    # forests that earlier ones built
     d = DisjointSetForest(range(n))
     oracle = QuotientOracle(range(n))
-    for a, b in unions:
-        if a < n and b < n:
-            d.union(a, b)
-            oracle.union(a, b)
+    pairs = [(a, b) for a, b in unions if a < n and b < n]
+    for start in range(0, len(pairs), batch):
+        merge_pairs(d, pairs[start:start + batch])
+    for a, b in pairs:
+        oracle.union(a, b)
     assert d.classes() == oracle.classes()
-    # find-equivalence is exactly oracle membership
+    assert d.class_count == len(oracle.classes())
+    # rows share a root exactly when the oracle puts them in one class
     for cls in oracle.classes():
-        roots = {d.find(x) for x in cls}
-        assert len(roots) == 1
-
-
-def workload(n, seed=0, linked=True):
-    """n makesets, n unions and 2n finds on random tids. With ``linked``
-    off, each union or find only looks its tids up in the forest's tid
-    table: the same makesets, rng draws and random reads of an n-entry
-    table, but no linking and no path walk, so this reference is linear
-    by construction and pays the same cache misses at large n."""
-    rng = random.Random(seed)
-    d = DisjointSetForest()
-    for i in range(n):
-        d.makeset(i)
-    if linked:
-        union, find = d.union, d.find
-    else:
-        union, find = (lambda a, b: (a in d, b in d)), d.__contains__
-    for _ in range(n):
-        union(rng.randrange(n), rng.randrange(n))
-    for _ in range(2 * n):
-        find(rng.randrange(n))
-    return d
-
-
-def normalised_time(n, repeats=1):
-    """Best-of-``repeats`` time of the workload over that of its linear
-    reference, each pair timed back to back so host speed swings cancel."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        workload(n, linked=False)
-        t1 = time.perf_counter()
-        workload(n)
-        t2 = time.perf_counter()
-        best = min(best, (t2 - t1) / (t1 - t0))
-    return best
-
-
-@pytest.mark.slow
-def test_near_linear_scaling():
-    # n makesets + n unions + 2n finds should scale near-linearly: per unit
-    # of linear reference work, n=1e6 may cost at most 2x what n=1e4 does.
-    workload(10**3)  # warm-up
-    small = normalised_time(10**4, repeats=5)
-    big = normalised_time(10**6)
-    assert big <= 2 * small
+        assert len(set(d.roots()[cls].tolist())) == 1

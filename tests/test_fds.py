@@ -6,11 +6,16 @@ from hypothesis import given, settings, strategies as st
 from fdrepair import (FD, Relation, Schema, SchemaError, attribute_closure,
                       implies, minimal_cover, parse_fd, parse_fds,
                       project_fds, violates)
-from fdrepair.fds import equivalent
 
 
 def fd(lhs, rhs):
     return FD(frozenset(lhs), rhs)
+
+
+def equivalent(fds_a, fds_b):
+    """Each FD set implies every FD of the other."""
+    return all(implies(fds_b, f) for f in fds_a) and \
+        all(implies(fds_a, f) for f in fds_b)
 
 
 def closure_oracle(attrs, fds):

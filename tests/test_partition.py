@@ -11,6 +11,11 @@ def fd(lhs, rhs):
     return FD(frozenset(lhs), rhs)
 
 
+def holds(pre, b, a):
+    """True iff the preorder says ``b`` should not occur after ``a``."""
+    return bool(pre.matrix[pre.attributes.index(b), pre.attributes.index(a)])
+
+
 def closure_oracle(matrix):
     """Boolean matrix closure by repeated squaring until fixpoint."""
     m = matrix.copy()
@@ -23,8 +28,8 @@ def closure_oracle(matrix):
 
 def test_preorder_hospital_equivalence(hospital_fds, hospital_snippet):
     pre = build_preorder(minimal_cover(hospital_fds), hospital_snippet.schema)
-    assert pre.holds("hospital name", "#provider")
-    assert pre.holds("#provider", "hospital name")
+    assert holds(pre, "hospital name", "#provider")
+    assert holds(pre, "#provider", "hospital name")
 
 
 def test_preorder_empty_cover_is_identity():
@@ -34,7 +39,7 @@ def test_preorder_empty_cover_is_identity():
 
 def test_preorder_transitive_entry():
     pre = build_preorder([fd("A", "B"), fd("B", "C")], Schema(["A", "B", "C"]))
-    assert pre.holds("A", "C")
+    assert holds(pre, "A", "C")
     assert (pre.matrix == closure_oracle(pre.matrix)).all()
 
 

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,6 +16,11 @@ NAME_PROV = FD(frozenset({"hospital name"}), "#provider")
 PROV_NAME = FD(frozenset({"#provider"}), "hospital name")
 
 
+def sub_relation(rel, tids):
+    """The rows of ``rel`` with the given tids, in that order."""
+    return Relation(rel.schema, tids, [rel.row_of(tid) for tid in tids])
+
+
 def test_vio_fd_hospital(hospital_snippet):
     for seed in range(8):
         out = vio_fd(hospital_snippet, NAME_PROV, random.Random(seed))
@@ -27,7 +33,7 @@ def test_vio_fd_satisfied(hospital_snippet):
 
 def test_vio_fd_all_distinct_lhs(hospital_snippet):
     fd = FD(frozenset({"measure code"}), "city")
-    rel = hospital_snippet.select_by_tids({2, 3, 4, 6})  # unique measure codes
+    rel = sub_relation(hospital_snippet, [2, 3, 4, 6])  # unique measure codes
     assert vio_fd(rel, fd, random.Random(0)) == set()
 
 
@@ -75,12 +81,11 @@ def test_update_dsf_reproduces_classes(hospital_snippet):
 
 
 def test_update_dsf_distinct_lhs_no_change(hospital_snippet):
-    d = DisjointSetForest(hospital_snippet.tids)
     fd = FD(frozenset({"measure code"}), "condition")
-    rel = hospital_snippet.select_by_tids({2, 3, 4, 6})
-    d2 = DisjointSetForest(rel.tids)
-    update_dsf(rel, fd, d2)
-    assert d2.class_count == 4
+    rel = sub_relation(hospital_snippet, [2, 3, 4, 6])
+    d = DisjointSetForest(rel.tids)
+    update_dsf(rel, fd, d)
+    assert d.class_count == 4
 
 
 def test_update_dsf_idempotent(hospital_snippet):
@@ -116,10 +121,12 @@ def test_update_dsf_matches_components(rows, lhs, null_equals_null, rng):
     # NULL matching nothing under NULL-unequal semantics
     tids = rng.sample(range(1, 100), len(rows))
     rel = Relation(Schema(["a", "b", "c"]), tids, rows)
-    d = DisjointSetForest(sorted(tids))  # slots differ from row positions
+    d = DisjointSetForest(tids)
     before = [tuple(rng.sample(tids, 2)) for _ in range(len(tids) // 3)]
-    for a, b in before:
-        d.union(a, b)
+    if before:
+        row = {tid: i for i, tid in enumerate(tids)}
+        d.merge(np.array([row[t] for pair in before for t in pair]),
+                np.repeat(np.arange(len(before)), 2))
     update_dsf(rel, FD(frozenset(lhs), "c"), d, null_equals_null)
     idx = rel.schema.indices(sorted(lhs))
     keyed = [(tid, tuple(row[i] for i in idx)) for tid, row in zip(tids, rows)]
@@ -128,8 +135,19 @@ def test_update_dsf_matches_components(rows, lhs, null_equals_null, rng):
     expected = components(tids, before + same_key)
     assert d.classes() == expected
     assert d.class_count == len(expected)
-    for cls in expected:
-        assert len({d.find(t) for t in cls}) == 1
+
+
+def test_forest_over_other_tid_order_rejected(hospital_snippet):
+    # a forest is over the relation's rows in order; the same tids in
+    # another order are not remapped
+    rel = hospital_snippet.copy()
+    d = DisjointSetForest(reversed(rel.tids))
+    with pytest.raises(ValueError):
+        update_dsf(rel, NAME_PROV, d)
+    with pytest.raises(ValueError):
+        fix(rel, NAME_PROV, d, MV, random.Random(0))
+    assert rel.rows == hospital_snippet.rows
+    assert d.class_count == len(rel)
 
 
 def vio_fd_reference(rel, fd, rng, null_equals_null):
@@ -153,9 +171,31 @@ def vio_fd_reference(rel, fd, rng, null_equals_null):
     return out
 
 
+class RowUnionFind:
+    """The reference's own union-find over tids, one union at a time."""
+
+    def __init__(self, tids):
+        self.parent = {tid: tid for tid in tids}
+
+    def find(self, tid):
+        while self.parent[tid] != tid:
+            tid = self.parent[tid]
+        return tid
+
+    def union(self, a, b):
+        self.parent[self.find(a)] = self.find(b)
+
+    def classes(self):
+        by_root = {}
+        for tid in self.parent:
+            by_root.setdefault(self.find(tid), []).append(tid)
+        return sorted((sorted(c) for c in by_root.values()),
+                      key=lambda c: c[0])
+
+
 def fix_reference(rel, rows, fd, forest, fn, rng, null_equals_null):
-    """Row-by-row fix on ``rows`` (mutated) with single unions and
-    ``classes()``; returns (fixes, change log)."""
+    """Row-by-row fix on ``rows`` (mutated) with single unions in
+    ``forest``, a ``RowUnionFind``; returns (fixes, change log)."""
     lhs = rel.schema.indices(sorted(fd.lhs))
     rhs = rel.schema.index(fd.rhs)
     first = {}
@@ -202,7 +242,7 @@ def test_vio_and_fix_match_row_loop_reference(rows, fn, null_equals_null,
         assert vio_fd(rel, fd, got_rng, null_equals_null) == \
             vio_fd_reference(rel, fd, ref_rng, null_equals_null)
         assert got_rng.getstate() == ref_rng.getstate()
-    forest, ref_forest = DisjointSetForest(tids), DisjointSetForest(tids)
+    forest, ref_forest = DisjointSetForest(tids), RowUnionFind(tids)
     for fd in (FD(frozenset("a"), "c"), FD(frozenset("b"), "c")):
         got_rng, ref_rng = random.Random(seed), random.Random(seed)
         log = ChangeLog()
@@ -250,8 +290,8 @@ def test_array_vote_matches_per_class_vote(bags, null_key, fn, rng):
     got_rng, ref_rng = random.Random(seed), random.Random(seed)
     log = ChangeLog()
     fixes = fix(rel, fd, DisjointSetForest(tids), fn, got_rng, change_log=log)
-    ref = fix_reference(rel, ref_rows, fd, DisjointSetForest(tids),
-                        fn, ref_rng, True)
+    ref = fix_reference(rel, ref_rows, fd, RowUnionFind(tids), fn, ref_rng,
+                        True)
     assert (fixes, log) == ref
     assert rel.rows == ref_rows
     assert got_rng.getstate() == ref_rng.getstate()

@@ -17,24 +17,7 @@ def test_tid_array_follows_appends():
     assert rel.tid_array() is rel.tid_array()
     rel.append(7, ["z"])
     assert rel.tid_array().tolist() == [1, 2, 7]
-    assert rel.select_by_tids({2, 7}).tid_array().tolist() == [2, 7]
-
-
-def test_select_by_tids(hospital_snippet):
-    sub = hospital_snippet.select_by_tids({1, 2})
-    assert sub.tids == [1, 2]
-    assert len(sub) == 2
-
-
-def test_select_all_tids_is_identity(hospital_snippet):
-    sub = hospital_snippet.select_by_tids(set(hospital_snippet.tids))
-    assert sub.tids == hospital_snippet.tids
-    assert sub.rows == hospital_snippet.rows
-
-
-def test_select_unknown_tid(hospital_snippet):
-    with pytest.raises(KeyError):
-        hospital_snippet.select_by_tids({1, 99})
+    assert rel.copy().tid_array().tolist() == [1, 2, 7]
 
 
 def test_load_csv_assigns_tids(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdrepair
-from fdrepair import (BUILTINS, RepairFunction, get_function, is_preservative,
+from fdrepair import (BUILTINS, RepairFunction, get_function,
                       majority_vote, max_value, weighted_vote)
 
 
@@ -71,7 +71,7 @@ def test_max_null_is_minimum():
 
 def test_builtins_preservative_flags():
     for name in ("mv", "wv", "max"):
-        assert is_preservative(get_function(name))
+        assert get_function(name).preservative
 
 
 def test_preservative_flag_is_checked():
