@@ -121,8 +121,8 @@ def cmd_estimate(args):
     cover = minimal_cover(fds)
     rng = random.Random(args.seed)
     attrs = sorted({fd.rhs for fd in cover}, key=rel.schema.index)
-    _, sizes = estimate_priority(rel, attrs, cover, rng)
-    for a in sorted(attrs, key=lambda a: (-sizes[a], rel.schema.index(a))):
+    order, sizes = estimate_priority(rel, attrs, cover, rng)
+    for a in order:
         print("%s\t%d" % (a, sizes[a]))
     return 0
 

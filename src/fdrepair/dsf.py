@@ -1,16 +1,16 @@
 """Disjoint set forest over the rows of a relation.
 
 The forest is flat: one numpy array holds the root row of every row, and
-``tids`` lists the tuple id of each row. ``merge`` is its only mutator. It
-unions every group of rows sharing a label by hooking each root onto the
-least root of its groups and pointer jumping until nothing changes (in the
-manner of Shiloach and Vishkin, J. Algorithms 1982), so every tree stays of
-height at most one and ``class_count`` stays exact.
+``tids`` is the int64 tid array it was given, uncopied. ``merge`` is its
+only mutator. It unions every group of rows sharing a label by hooking each
+root onto the least root of its groups and pointer jumping until nothing
+changes (in the manner of Shiloach and Vishkin, J. Algorithms 1982), so
+every tree stays of height at most one and ``class_count`` stays exact.
 """
 
 import numpy as np
 
-from .relation import _first_duplicate
+from .relation import _unique_tids
 
 
 def _jump(parent):
@@ -25,10 +25,7 @@ def _jump(parent):
 class DisjointSetForest:
 
     def __init__(self, tids=()):
-        self.tids = list(tids)
-        if len(set(self.tids)) != len(self.tids):
-            tid = self.tids[_first_duplicate(self.tids)]
-            raise ValueError("tid %r already registered" % (tid,))
+        self.tids = _unique_tids(tids)
         self._root = np.arange(len(self.tids))
         self.class_count = len(self.tids)
 
@@ -59,9 +56,7 @@ class DisjointSetForest:
 
     def classes(self):
         """Partition of the tids, ordered by minimal member tid."""
-        by_root = {}
-        for tid, root in zip(self.tids, self._root.tolist()):
-            by_root.setdefault(root, []).append(tid)
-        members = [sorted(group) for group in by_root.values()]
-        members.sort(key=lambda group: group[0])
-        return members
+        order = np.lexsort((self.tids, self._root))
+        cuts = np.flatnonzero(np.diff(self._root[order])) + 1
+        return sorted(part.tolist() for part in
+                      np.split(self.tids[order], cuts) if len(part))

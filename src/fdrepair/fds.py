@@ -150,8 +150,7 @@ def violates(rel, fd, null_equals_null=True):
     order = np.argsort(first, kind="stable")
     rows, first = rows[order], first[order]
     cuts = np.flatnonzero(np.diff(first)) + 1
-    return [[rel.tids[i] for i in part.tolist()]
-            for part in np.split(rows, cuts)]
+    return [part.tolist() for part in np.split(rel.tid_array()[rows], cuts)]
 
 
 def parse_fd(line, schema=None):

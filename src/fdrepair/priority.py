@@ -166,7 +166,7 @@ def _minority_rows(rel, fd, rng, null_equals_null):
 
 
 def _tids_of(rel, mask):
-    return {rel.tids[i] for i in np.flatnonzero(mask).tolist()}
+    return set(rel.tid_array()[mask].tolist())
 
 
 def _vio_rows(rel, a, cover, rng, null_equals_null):
@@ -217,7 +217,7 @@ def update_dsf(rel, fd, dsf, null_equals_null=True):
 
     The forest must be over the relation's tids in row order.
     """
-    if dsf.tids != rel.tids:
+    if not np.array_equal(dsf.tids, rel.tid_array()):
         raise ValueError("the forest's tids are not the relation's tids "
                          "in row order")
     ids, may = group_rows(rel, sorted(fd.lhs), null_equals_null)
@@ -365,12 +365,12 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
     ordered = pilots + rest
     pending = [True] * len(ordered)  # polled lowest index first
     if shares_forest(class_attrs, fds_i, functions):
-        shared = DisjointSetForest(rel.tids)
+        shared = DisjointSetForest(rel.tid_array())
         for fd in ordered:
             update_dsf(rel, fd, shared, null_equals_null)
         forests = dict.fromkeys(class_attrs, shared)
     else:
-        forests = {a: DisjointSetForest(rel.tids) for a in class_attrs}
+        forests = {a: DisjointSetForest(rel.tid_array()) for a in class_attrs}
 
     # Termination guard: every productive pass merges forest classes, so
     # polls are bounded by roughly |fds_i| * (n + 1).

@@ -1,17 +1,19 @@
 """Tabular data model: relations over a named schema with tuple ids.
 
 Cells are untyped strings compared byte-exactly; NULL is represented by
-``None``. Each row carries a tuple id (tid) that is unique within a
-relation and is never treated as a repairable attribute.
+``None``. Each row carries a tuple id (tid), an int64 integer that is
+unique within a relation and is never treated as a repairable attribute.
 
 Storage is columnar and dictionary-encoded: each attribute holds one
 ``int32`` code per row plus a list mapping codes back to values, and code
 ``NULL`` (0) is reserved for NULL in every attribute. Within one attribute,
 equal codes mean equal values, so grouping and voting run on integer
-arrays (``codes``). ``rows``, ``column``, ``get`` and ``row_of`` decode.
+arrays (``codes``), as do tids (``tid_array``). ``rows``, ``column``,
+``get``, ``row_of`` and ``tids`` decode.
 """
 
 import csv
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -53,14 +55,27 @@ class Schema:
         return [self.index(n) for n in names]
 
 
-def _first_duplicate(items):
-    """Position of the first item equal to an earlier one, or None."""
-    seen = set()
-    for i, item in enumerate(items):
-        if item in seen:
-            return i
-        seen.add(item)
-    return None
+def _first_repeat(tids):
+    """Position of the first tid equal to an earlier one, or None."""
+    ordered = np.sort(tids)
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(tids, kind="stable")
+        return int(order[1:][np.diff(tids[order]) == 0].min())
+
+
+def _unique_tids(tids):
+    """``tids`` as a one-dimensional int64 array, the array itself if it is
+    one. Raises ValueError unless they are distinct integers within int64."""
+    arr = np.asarray(tids if isinstance(tids, np.ndarray)
+                     else list(tids) or np.empty(0, dtype=np.int64))
+    if (arr.ndim != 1 or arr.dtype.kind not in "iu"
+            or (arr > np.iinfo(np.int64).max).any()):
+        raise ValueError("tids must be integers within int64")
+    arr = arr.astype(np.int64, copy=False)
+    dup = _first_repeat(arr)
+    if dup is not None:
+        raise ValueError("duplicate tid %d" % arr[dup])
+    return arr
 
 
 class _Dictionary(dict):
@@ -80,93 +95,82 @@ class _Dictionary(dict):
 class Relation:
     """An ordered collection of rows with unique tids.
 
-    ``tids`` lists the tuple ids in row order. ``rows`` is a freshly decoded
-    list of cell lists aligned with ``schema.attributes``; change cells with
+    ``tids`` and ``rows`` are freshly decoded lists: the tids in row order,
+    and the cell lists aligned with ``schema.attributes``; change cells with
     ``set``.
     """
 
-    def __init__(self, schema, tids=None, rows=None):
+    def __init__(self, schema, tids=(), rows=()):
         self.schema = schema
-        self.tids = []
-        self._pos = {}  # tid -> row position, None until needed
-        self._tid_array = None  # tids as an array, None until needed
+        self._n = 0  # rows in use; the storage may hold more
+        self._tids = np.empty(0, dtype=np.int64)
         self._data = np.empty((len(schema), 0), dtype=np.int32)
         self._dicts = [_Dictionary() for _ in schema.attributes]
-        tids = list(tids) if tids else []
-        rows = list(rows) if rows else []
+        tids = _unique_tids(tids)
+        rows = list(rows)
         if len(tids) != len(rows):
             raise ValueError("tids and rows must have equal length")
         for row in rows:
             if len(row) != len(schema):
                 raise SchemaError("row arity %d does not match schema arity %d"
                                   % (len(row), len(schema)))
-        if rows:
-            self._extend(tids, list(zip(*rows)))
+        self._extend(tids, list(zip(*rows)))
 
     def _extend(self, tids, columns):
-        """Append rows given as their tids and one cell sequence per
-        attribute. Storage grows geometrically, so appending costs amortized
-        O(1) per cell."""
-        n, end = len(self.tids), len(self.tids) + len(tids)
-        pos = dict(zip(tids, range(n, end)))
-        if len(pos) != len(tids) or not self._positions().keys().isdisjoint(pos):
-            both = self.tids + list(tids)
-            raise ValueError("duplicate tid %r" % (both[_first_duplicate(both)],))
-        if end > self._data.shape[1]:
-            grown = np.empty((len(self.schema), max(end, 2 * n, 16)),
-                             dtype=np.int32)
-            grown[:, :n] = self._data[:, :n]
-            self._data = grown
+        """Append rows given as their int64 tids, which the caller has
+        checked are new, and one cell sequence per attribute. Storage grows
+        geometrically, so appending costs amortized O(1) per cell."""
+        n, end = self._n, self._n + len(tids)
+        if end > len(self._tids):
+            spare = max(end, 2 * n, 16) - n
+            self._data = np.pad(self._data[:, :n], ((0, 0), (0, spare)))
+            self._tids = np.pad(self._tids[:n], (0, spare))
+        self._tids[n:end] = tids
         for d, codes, col in zip(self._dicts, self._data[:, n:end], columns):
             codes[:] = np.fromiter(map(d.__getitem__, col), dtype=np.int32,
                                    count=end - n)
-        self._pos.update(pos)
-        self.tids.extend(tids)
-        self._tid_array = None
-
-    def _like(self, tids, data):
-        """A relation over the same schema sharing this one's dictionaries,
-        which only ever gain values, so a code keeps its value in both."""
-        rel = Relation(self.schema)
-        rel.tids = tids
-        rel._pos = None
-        rel._data = data
-        rel._dicts = self._dicts
-        return rel
+        self._n = end
 
     def __len__(self):
-        return len(self.tids)
+        return self._n
+
+    @property
+    def tids(self):
+        return self.tid_array().tolist()
+
+    def tid_array(self):
+        """The tids in row order, as a read-only int64 array."""
+        tids = self._tids[:self._n]
+        tids.flags.writeable = False
+        return tids
 
     def append(self, tid, row):
         if len(row) != len(self.schema):
             raise SchemaError("row arity %d does not match schema arity %d"
                               % (len(row), len(self.schema)))
-        self._extend([tid], [(value,) for value in row])
+        tids = _unique_tids([tid])
+        if tids[0] in self._pos:
+            raise ValueError("duplicate tid %d" % tids[0])
+        self._extend(tids, [(value,) for value in row])
+        self._pos[int(tids[0])] = len(self) - 1
 
-    def _positions(self):
-        if self._pos is None:
-            self._pos = dict(zip(self.tids, range(len(self.tids))))
-        return self._pos
+    @cached_property
+    def _pos(self):
+        """tid -> row position, built on first lookup or append."""
+        return dict(zip(self.tids, range(len(self))))
 
     def _position(self, tid):
         try:
-            return self._positions()[tid]
+            return self._pos[tid]
         except KeyError:
             raise KeyError("unknown tid %r" % (tid,)) from None
-
-    def tid_array(self):
-        """``tids`` as an array, built on first use and again after an
-        append."""
-        if self._tid_array is None:
-            self._tid_array = np.asarray(self.tids)
-        return self._tid_array
 
     def copy(self):
         """A copy sharing this relation's dictionaries, which only ever gain
         values, so a code keeps its value in both."""
         rel = Relation(self.schema)
-        rel.tids = list(self.tids)
-        rel._pos = None
+        rel._n = self._n
+        rel._tids = self.tid_array().copy()
         rel._data = self._data[:, :len(self)].copy()
         rel._dicts = self._dicts
         return rel
@@ -213,9 +217,9 @@ def load_csv(path, null_token="", tid_column=None):
     """Read a relation from a headered CSV file.
 
     Cells equal to ``null_token`` become NULL. If ``tid_column`` is given,
-    that column supplies the tids (unique integers); otherwise tids are
-    assigned 1..n in row order. Rows are encoded into the columns a chunk
-    at a time, as they are parsed.
+    that column supplies the tids (unique int64 integers, checked once at the
+    end); otherwise tids are assigned 1..n in row order. Rows are encoded
+    into the columns a chunk at a time, as they are parsed.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -241,23 +245,24 @@ def load_csv(path, null_token="", tid_column=None):
                                  % (path, lineno + i, width, len(chunk[i])))
             columns = list(zip(*chunk))
             if tid_idx is None:
-                tids = list(range(lineno - 1, lineno - 1 + len(chunk)))
+                tids = np.arange(lineno - 1, lineno - 1 + len(chunk))
             else:
-                tids = []
-                for i, cell in enumerate(columns.pop(tid_idx)):
-                    try:
-                        tids.append(int(cell))
-                    except ValueError:
-                        raise ValueError("%s:%d: malformed tid %r"
-                                         % (path, lineno + i, cell)) from None
-            try:
-                rel._extend(tids, columns)
-            except ValueError:
-                both = rel.tids + tids
-                dup = _first_duplicate(both)
-                raise ValueError("%s:%d: duplicate tid %r"
-                                 % (path, dup + 2, both[dup])) from None
+                cells = columns.pop(tid_idx)
+                try:
+                    tids = np.array(cells, dtype=np.int64)
+                except (ValueError, OverflowError):
+                    for i, cell in enumerate(cells):
+                        try:
+                            np.array(cell, dtype=np.int64)
+                        except (ValueError, OverflowError):
+                            raise ValueError("%s:%d: malformed tid %r" % (
+                                path, lineno + i, cell)) from None
+            rel._extend(tids, columns)
             lineno += len(chunk)
+    dup = _first_repeat(rel.tid_array())
+    if dup is not None:
+        raise ValueError("%s:%d: duplicate tid %d"
+                         % (path, dup + 2, rel.tid_array()[dup]))
     for d in rel._dicts:
         del d[null_token]
         d[None] = NULL

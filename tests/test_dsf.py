@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdrepair import DisjointSetForest
+from fdrepair import DisjointSetForest, Relation, Schema
 
 
 def merge_pairs(d, pairs):
@@ -19,6 +19,13 @@ def test_makeset_self_root():
 def test_makeset_counts():
     d = DisjointSetForest(range(10))
     assert d.class_count == 10
+
+
+def test_forest_keeps_the_relation_tid_array():
+    rel = Relation(Schema(["a"]), [4, 2, 9], [["x"], ["y"], ["z"]])
+    d = DisjointSetForest(rel.tid_array())
+    assert np.shares_memory(d.tids, rel.tid_array())
+    assert d.classes() == [[2], [4], [9]]
 
 
 def test_makeset_duplicate_rejected():
