@@ -60,25 +60,28 @@ class RepairStats:
 
 class ChangeLog(Sequence):
     """The (tid, attribute, old value, new value) records of a repair, in the
-    order the cells changed. Fixes record whole arrays of codes; the tuples
-    are only built when the log is read."""
+    order the cells changed. A fix records its changed cells as arrays: their
+    tids, old codes and class numbers, and per class its least tid and new
+    code. A fix's cells are only sorted, by their class's least tid and then
+    by tid, and built into tuples when the log is read."""
 
     def __init__(self):
-        self._parts = []  # (tids, attribute, code -> value list, old, new)
+        self._parts = []  # (tids, attribute, values, old, class, least, new)
         self._records = None
 
-    def record(self, tids, attr, values, old, new):
-        self._parts.append((tids, attr, values, old, new))
+    def record(self, tids, attr, values, old, cls, least, new):
+        self._parts.append((tids, attr, values, old, cls, least, new))
         self._records = None
 
     def _decoded(self):
         if self._records is None:
             self._records = []
-            for tids, attr, values, old, new in self._parts:
+            for tids, attr, values, old, cls, least, new in self._parts:
+                order = np.lexsort((tids, least[cls]))
                 self._records.extend(zip(
-                    tids.tolist(), repeat(attr),
-                    map(values.__getitem__, old.tolist()),
-                    map(values.__getitem__, new.tolist())))
+                    tids[order].tolist(), repeat(attr),
+                    map(values.__getitem__, old[order].tolist()),
+                    map(values.__getitem__, new[cls[order]].tolist())))
         return self._records
 
     def __len__(self):
@@ -295,18 +298,22 @@ def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
     else:
         row_class, new, called = _vote(rel, fn, rows, comp[rows], old)
     n_classes = int(row_class.max()) + 1
-    least = _group_min(row_class, tids, n_classes)[row_class]
+    least = _group_min(row_class, tids, n_classes)
     if called.any():
         new[called] = _call_per_class(rel, fd, fn, rng, rows[called],
-                                      tids[called], least[called])
+                                      tids[called], least[row_class[called]])
     changed = np.flatnonzero(new != old)
-    changed = changed[np.lexsort((tids[changed], least[changed]))]
-    rows, tids, old, new = (a[changed] for a in (rows, tids, old, new))
     if change_log is not None:
-        change_log.record(tids, fd.rhs, rel.values(fd.rhs), old, new)
+        # A class's cells all take one new code, so the log keeps the new
+        # code and least tid per class and a small class number per cell.
+        class_new = np.empty(n_classes, dtype=new.dtype)
+        class_new[row_class] = new
+        cls = row_class[changed].astype(np.min_scalar_type(n_classes))
+        change_log.record(tids[changed], fd.rhs, rel.values(fd.rhs),
+                          old[changed], cls, least, class_new)
     if stats is not None:
-        stats.cells_changed += len(rows)
-    codes[rows] = new
+        stats.cells_changed += len(changed)
+    codes[rows[changed]] = new[changed]
     return n_classes
 
 

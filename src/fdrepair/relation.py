@@ -9,17 +9,22 @@ Storage is columnar and dictionary-encoded: each attribute holds one
 ``NULL`` (0) is reserved for NULL in every attribute. Within one attribute,
 equal codes mean equal values, so grouping and voting run on integer
 arrays (``codes``), as do tids (``tid_array``). ``rows``, ``column``,
-``get``, ``row_of`` and ``tids`` decode.
+``get``, ``row_of`` and ``tids`` decode. ``save_csv`` does not: it writes
+from the dictionaries, escaping each value once and emitting rows in blocks
+by indexing the escaped values with the codes.
 """
 
 import csv
+import io
+import re
 from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
 NULL = 0  # the code of NULL in every attribute
-_CHUNK_ROWS = 4096  # rows load_csv parses before encoding them
+_CHUNK_ROWS = 4096  # rows load_csv parses before encoding, save_csv per write
+_QUOTED = re.compile('[,"\r\n]').search  # characters csv.writer quotes
 
 
 class SchemaError(ValueError):
@@ -269,22 +274,64 @@ def load_csv(path, null_token="", tid_column=None):
     return rel
 
 
+def _written(values, width):
+    """``values`` as ``csv.writer`` writes them in a row of ``width`` fields.
+
+    Strings with none of ``,`` ``"`` ``\\r`` ``\\n`` are kept as they are,
+    except the empty string in a one-field row, which ``csv.writer`` writes
+    as ``""``. A list holding only such strings is checked at once, as one
+    joined string. Every other value goes through ``csv.writer`` itself, in
+    a row as wide as the one it will be written in.
+    """
+    pad = [""] if width > 1 else []  # a second field decides the "" rule
+    try:
+        if (pad or all(values)) and not _QUOTED("".join(values)):
+            return values
+    except TypeError:  # a value that is not a string
+        pass
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    end = -len(",\r\n" if pad else "\r\n")
+
+    def escape(value):
+        if isinstance(value, str) and (value or pad) and not _QUOTED(value):
+            return value
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([value, *pad])
+        return buf.getvalue()[:end]
+    return list(map(escape, values))
+
+
 def save_csv(rel, path, null_token="", tid_column=None):
     """Write a relation to CSV; NULL cells are emitted as ``null_token``.
 
     With ``tid_column`` the tids are written as a leading column, so that
     ``load_csv(..., tid_column=...)`` reproduces the relation exactly.
+
+    Output is written from the dictionaries, not cell by cell: each
+    attribute's values are escaped once, as ``csv.writer`` writes them, and
+    followed by the field's separator (``,``, or ``\\r\\n`` after the last
+    field). Each block of rows indexes those strings with its codes into one
+    object grid, written with one join. The bytes are ``csv.writer``'s.
     """
-    header = list(rel.schema.attributes)
-    columns = []
-    for a in header:
-        values = list(rel.values(a))
-        values[NULL] = null_token
-        columns.append(list(map(values.__getitem__, rel.codes(a).tolist())))
-    if tid_column is not None:
-        header.insert(0, tid_column)
-        columns.insert(0, rel.tids)
+    header = [tid_column] * (tid_column is not None) + rel.schema.attributes
+    width = len(header)
+    first = width - len(rel.schema)  # the first attribute's field
+    ends = [","] * (width - 1) + ["\r\n"]
+    fields = [np.array(_written([null_token, *rel.values(a)[1:]], width),
+                       dtype=object) + end
+              for a, end in zip(rel.schema.attributes, ends[first:])]
+    tids = rel.tid_array()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(_written(header, width)) + "\r\n")
+        for start in range(0, len(rel), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            grid = np.empty((len(tids[rows]), width), dtype=object)
+            if first:  # a tid is an integer, which csv.writer never quotes
+                grid[:, 0] = list(map(("%d" + ends[0]).__mod__,
+                                      tids[rows].tolist()))
+            for j, (a, field) in enumerate(zip(rel.schema.attributes, fields),
+                                           first):
+                grid[:, j] = field[rel.codes(a)[rows]]
+            fh.write("".join(grid.ravel().tolist()))
