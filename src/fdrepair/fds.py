@@ -120,15 +120,18 @@ def group_rows(rel, attrs, null_equals_null=True):
 
 def mixed_rows(groups, codes):
     """Mask of the rows whose group (``groups``, small non-negative ids)
-    shows two or more distinct ``codes``."""
+    shows two or more distinct ``codes``.
+
+    Each group's slot is given some member's code by one scatter; a group
+    is mixed exactly when one of its rows differs from that code.
+    """
     if not len(groups):
         return np.zeros(0, dtype=bool)
-    codes = codes.astype(np.int64)
-    least = np.full(groups.max() + 1, np.iinfo(np.int64).max)
-    most = np.full(groups.max() + 1, -1)
-    np.minimum.at(least, groups, codes)
-    np.maximum.at(most, groups, codes)
-    return (least != most)[groups]
+    some = np.empty(groups.max() + 1, dtype=codes.dtype)
+    some[groups] = codes
+    mixed = np.zeros(len(some), dtype=bool)
+    mixed[groups[some[groups] != codes]] = True
+    return mixed[groups]
 
 
 def violates(rel, fd, null_equals_null=True):

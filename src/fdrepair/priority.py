@@ -19,14 +19,18 @@ still violated as a backstop.
 All of it runs on the relation's integer codes. One grouping primitive,
 ``group_rows``, turns an lhs into group ids, which ``update_dsf`` merges
 into the forest in bulk; ``fix`` finds the forest classes holding two or
-more rhs values with array operations. One counting kernel, ``_tally``,
-sums votes per (group, code) pair both for Vio (lhs groups, one vote per
-row) and for the array vote ``fix`` runs for ``mv``/``wv`` (forest classes,
-weighted as the function declares). Each keeps its own tie rule: Vio
-settles ties itself (see ``_minority_rows``), and the vote hands a class
-whose top is tied to the repair function. Other repair functions are
-called once per class. Results and the seeded rng stream are those of a
-row-by-row run.
+more rhs values by one scatter and compare (``mixed_rows``). One counting
+kernel, ``_tally``, sums votes per (group, code) pair both for Vio (lhs
+groups, one vote per row) and for the array vote ``fix`` runs for
+``mv``/``wv`` (forest classes, weighted as the function declares). It
+numbers groups from a presence mask rather than a sort (``_dense``) and
+has two paths, chosen by size alone: with at most ``_GRID_PER_ROW``
+(group, code) cells per row it sums on the whole grid with
+``np.bincount``; past that it sorts the pairs that occur with
+``np.unique``. Each caller keeps its own tie rule: Vio settles ties itself
+(see ``_minority_rows``), and the vote hands a class whose top is tied to
+the repair function. Other repair functions are called once per class.
+Results and the seeded rng stream are those of a row-by-row run.
 """
 
 from collections import Counter
@@ -39,6 +43,11 @@ import numpy as np
 from .dsf import DisjointSetForest
 from .fds import group_rows, mixed_rows, violates
 from .relation import NULL
+
+# The largest (group, code) grid _tally sums on, in cells per row: its int64
+# totals then take at most 32 bytes a row, no more than np.unique allocates
+# to sort the rows.
+_GRID_PER_ROW = 4
 
 
 class RepairInvariantError(AssertionError):
@@ -102,30 +111,60 @@ class ChangeLog(Sequence):
         return repr(self._decoded())
 
 
+def _dense(ids):
+    """Number the distinct ``ids`` (small non-negative integers) 0, 1, ...
+    in ascending order: returns each id's number and how many there are, as
+    ``np.unique(ids, return_inverse=True)`` would, from a presence mask
+    instead of a sort."""
+    present = np.zeros(ids.max() + 1, dtype=bool)
+    present[ids] = True
+    rank = np.cumsum(present) - 1
+    return rank[ids], int(rank[-1]) + 1
+
+
+def _sums(slots, weights, size):
+    """``weights`` (1 per row by default) summed per slot, as int64."""
+    if weights is None:
+        return np.bincount(slots, minlength=size)
+    totals = np.zeros(size, dtype=np.int64)
+    np.add.at(totals, slots, weights)
+    return totals
+
+
 def _tally(groups, codes, weights=None):
-    """Sum ``weights`` (1 per row by default) per (group, code) pair of the
-    rows, and find each group's top.
+    """Sum ``weights`` (non-negative, 1 per row by default) per (group,
+    code) pair of the rows, and find each group's top.
 
     Returns ``(row_group, n_top, winner, tops)``: the dense group index of
-    each row; per group, how many codes share its largest total and one of
-    those codes; and the (group, code) pairs at their group's top, as two
-    arrays in ascending (group, code) order. Totals are exact integers.
+    each row; per group, how many codes share its largest total and the
+    largest of those codes; and the (group, code) pairs at their group's
+    top, as two arrays in ascending (group, code) order. Only pairs that
+    occur in the rows can be tops. Totals are exact integers.
+
+    Groups are numbered by ``_dense``. With ``g`` groups and codes below
+    ``k`` there are two paths, chosen by size alone. If the ``g * k`` grid
+    has at most ``_GRID_PER_ROW`` cells per row, the sums go into the whole
+    grid (``np.bincount``, or ``np.add.at`` when weighted) and a presence
+    mask keeps the pairs that occur. Otherwise ``np.unique`` sorts the
+    pairs that occur and the sums go per pair.
     """
+    row_group, n_groups = _dense(groups)
     k = int(codes.max()) + 1
-    pairs, row_pair = np.unique(groups.astype(np.int64, copy=False) * k
-                                + codes, return_inverse=True)
-    if weights is None:
-        totals = np.bincount(row_pair)
+    keys = row_group * k + codes
+    if n_groups * k <= _GRID_PER_ROW * len(keys):
+        occurs = np.zeros(n_groups * k, dtype=bool)
+        occurs[keys] = True
+        pairs = np.flatnonzero(occurs)
+        totals = _sums(keys, weights, n_groups * k)[pairs]
     else:
-        totals = np.zeros(len(pairs), dtype=np.int64)
-        np.add.at(totals, row_pair, weights)
-    is_first = np.diff(pairs // k, prepend=-1) != 0
-    group = np.cumsum(is_first) - 1
-    top = totals == np.maximum.reduceat(totals, np.flatnonzero(is_first))[group]
-    top_group, top_code = group[top], (pairs % k)[top]
-    winner = np.zeros(group[-1] + 1, dtype=codes.dtype)
-    winner[top_group] = top_code
-    return (group[row_pair], np.bincount(top_group), winner,
+        pairs, row_pair = np.unique(keys, return_inverse=True)
+        totals = _sums(row_pair, weights, len(pairs))
+    group, code = np.divmod(pairs, k)
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    top = totals == np.maximum.reduceat(totals, starts)[group]
+    top_group, top_code = group[top], code[top].astype(codes.dtype)
+    n_top = np.bincount(top_group)
+    return (row_group, n_top, top_code[np.cumsum(n_top) - 1],  # last tops
             (top_group, top_code))
 
 
@@ -292,7 +331,7 @@ def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
     tids = rel.tid_array()[rows]
     old = codes[rows]
     if fn.vote_exponent is None:
-        _, row_class = np.unique(comp[rows], return_inverse=True)
+        row_class, _ = _dense(comp[rows])
         new = np.empty_like(old)
         called = np.ones(len(rows), dtype=bool)
     else:

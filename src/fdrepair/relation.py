@@ -325,6 +325,8 @@ def save_csv(rel, path, null_token="", tid_column=None):
     tids = rel.tid_array()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_written(header, width)) + "\r\n")
+        if not width:  # no field carries the line ends
+            fh.write("\r\n" * len(rel))
         for start in range(0, len(rel), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
             grid = np.empty((len(tids[rows]), width), dtype=object)

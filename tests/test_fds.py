@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdrepair import (FD, Relation, Schema, SchemaError, attribute_closure,
                       implies, minimal_cover, parse_fd, parse_fds,
                       project_fds, violates)
+from fdrepair.fds import mixed_rows
 
 
 def fd(lhs, rhs):
@@ -154,6 +156,25 @@ def test_violates_matches_bruteforce(rows, lhs, null_equals_null, rng):
     bad = violates(rel, f, null_equals_null)
     assert bool(bad) == violates_bruteforce(rel, f, null_equals_null)
     assert bad == violates_reference(rel, f, null_equals_null)
+
+
+# rows of (group id, code): ids either small or near 2n + 1, the top of
+# group_rows's id range for n rows
+@settings(max_examples=200)
+@given(st.integers(0, 30).flatmap(lambda n: st.lists(st.tuples(
+    st.one_of(st.integers(0, 3), st.integers(max(0, 2 * n - 2), 2 * n + 1)),
+    st.integers(0, 2)), min_size=n, max_size=n)))
+@example([])
+@example([(7, 1)])  # one group of one row
+@example([(0, 1), (61, 2), (61, 2), (5, 0), (5, 1), (60, 0)])
+def test_mixed_rows_matches_set_reference(rows):
+    seen = {}
+    for g, c in rows:
+        seen.setdefault(g, set()).add(c)
+    got = mixed_rows(np.array([g for g, _ in rows], dtype=np.int64),
+                     np.array([c for _, c in rows], dtype=np.int32))
+    assert got.dtype == bool
+    assert got.tolist() == [len(seen[g]) > 1 for g, _ in rows]
 
 
 fdset = st.lists(st.tuples(st.sets(st.sampled_from("ABCDEF"), min_size=1, max_size=3),

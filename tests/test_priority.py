@@ -1,15 +1,16 @@
 import random
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fdrepair import (FD, DisjointSetForest, Relation, Schema,
                       estimate_priority, fix, minimal_cover, pilot_fds,
                       priority_repair, resolve_functions, skip_revision_unary,
                       update_dsf, vio, vio_fd, violates)
-from fdrepair.priority import ChangeLog, RepairStats
+from fdrepair.priority import _GRID_PER_ROW, ChangeLog, RepairStats, _tally
 from fdrepair.repair_functions import BUILTINS, MV, WV, RepairFunction
 
 NAME_PROV = FD(frozenset({"hospital name"}), "#provider")
@@ -295,6 +296,54 @@ def test_array_vote_matches_per_class_vote(bags, null_key, fn, rng):
     assert (fixes, log) == ref
     assert rel.rows == ref_rows
     assert got_rng.getstate() == ref_rng.getstate()
+
+
+def tally_reference(groups, codes, weights):
+    """``_tally``'s four results from a Counter over (group, code) pairs."""
+    totals = Counter()
+    for g, c, w in zip(groups, codes, weights or repeat(1)):
+        totals[g, c] += w  # a pair of zero total is still counted
+    dense = {g: i for i, g in enumerate(sorted(set(groups)))}
+    best = Counter()
+    for (g, _), t in totals.items():
+        best[g] = max(best[g], t)
+    tops = sorted((dense[g], c) for (g, c), t in totals.items() if t == best[g])
+    n_top = [sum(1 for i, _ in tops if i == j) for j in range(len(dense))]
+    winner = [max(c for i, c in tops if i == j) for j in range(len(dense))]
+    return [dense[g] for g in groups], n_top, winner, tops
+
+
+# "grid": few groups and codes, so _tally sums on its (group, code) grid;
+# "sparse": ids and codes far apart, so it takes the np.unique path
+tally_rows = {
+    "grid": st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                     min_size=4, max_size=40),
+    "sparse": st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 4)),
+                       min_size=1, max_size=40),
+}
+
+
+@pytest.mark.parametrize("side", ["grid", "sparse"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_tally_matches_counter_reference(side, data):
+    rows = data.draw(tally_rows[side])
+    weights = data.draw(st.one_of(st.none(), st.lists(
+        st.sampled_from([0, 1, 16, 81, 625]), min_size=len(rows),
+        max_size=len(rows))))
+    groups = [g for g, _ in rows]
+    codes = [c for _, c in rows]
+    n_groups, k = len(set(groups)), max(codes) + 1
+    assume((n_groups * k <= _GRID_PER_ROW * len(rows)) == (side == "grid"))
+    row_group, n_top, winner, (top_group, top_code) = _tally(
+        np.array(groups, dtype=np.int64), np.array(codes, dtype=np.int32),
+        None if weights is None else np.array(weights, dtype=np.int64))
+    ref_group, ref_n_top, ref_winner, ref_tops = tally_reference(
+        groups, codes, weights)
+    assert row_group.tolist() == ref_group
+    assert n_top.tolist() == ref_n_top
+    assert winner.tolist() == ref_winner
+    assert list(zip(top_group.tolist(), top_code.tolist())) == ref_tops
 
 
 def test_fix_hospital_first_fd(hospital_snippet):

@@ -141,7 +141,7 @@ PLAIN = ["x", "", None, " y z ", "日本"]
 
 
 @pytest.mark.parametrize("cells", [AWKWARD, PLAIN])
-@pytest.mark.parametrize("attrs", [["a"], ["a", "b,c", 'q"']])
+@pytest.mark.parametrize("attrs", [[], ["a"], ["a", "b,c", 'q"']])
 @pytest.mark.parametrize("tid_column", [None, "tid"])
 @pytest.mark.parametrize("null_token", ["", "<NULL>"])
 def test_save_csv_bytes_match_csv_writer(tmp_path, attrs, tid_column,
@@ -161,6 +161,17 @@ def test_save_csv_bytes_match_csv_writer(tmp_path, attrs, tid_column,
     save_csv(Relation(Schema(attrs), tids, rows), out, null_token=null_token,
              tid_column=tid_column)
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_zero_attribute_csv_round_trip(tmp_path):
+    # every row is an empty line, which load_csv reads back as a row
+    rel = Relation(Schema([]), [1, 2, 3], [[], [], []])
+    p = tmp_path / "empty.csv"
+    save_csv(rel, p)
+    back = load_csv(p)
+    assert back.schema == rel.schema
+    assert back.tids == rel.tids
+    assert back.rows == rel.rows
 
 
 cell = st.one_of(st.none(), st.text(
