@@ -62,6 +62,7 @@ def _class_report(outcome):
         "priority": c.stats.priority,
         "vio_sizes": dict(c.stats.vio_sizes),
         "revisions": c.stats.revisions,
+        "sweep_reenqueues": c.stats.sweep_reenqueues,
         "cells_changed": c.stats.cells_changed,
         "duration_s": c.duration,
     } for c in outcome.classes]

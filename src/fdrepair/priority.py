@@ -61,7 +61,8 @@ class RepairStats:
     """Counters for one class repair."""
     fixes_per_fd: Counter = field(default_factory=Counter)
     polls_per_fd: Counter = field(default_factory=Counter)
-    revisions: int = 0
+    revisions: int = 0  # closing-sweep flags included
+    sweep_reenqueues: int = 0  # FDs the closing sweep flagged again
     cells_changed: int = 0
     vio_sizes: dict = field(default_factory=dict)
     priority: list = field(default_factory=list)
@@ -453,4 +454,5 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
             return stats
         for j in still_bad:
             pending[j] = True
-            stats.revisions += 1
+        stats.revisions += len(still_bad)
+        stats.sweep_reenqueues += len(still_bad)

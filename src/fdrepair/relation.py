@@ -11,7 +11,9 @@ equal codes mean equal values, so grouping and voting run on integer
 arrays (``codes``), as do tids (``tid_array``). ``rows``, ``column``,
 ``get``, ``row_of`` and ``tids`` decode. ``save_csv`` does not: it writes
 from the dictionaries, escaping each value once and emitting rows in blocks
-by indexing the escaped values with the codes.
+by indexing the escaped values with the codes. ``load_csv`` parses rows
+into one flat cell list, sliced per column, so it leaves no row lists for
+the cyclic garbage collector.
 """
 
 import csv
@@ -218,13 +220,24 @@ class Relation:
                         self.codes(attr).tolist()))
 
 
+def _line_of(path, record):
+    """The line of ``path`` on which data row ``record`` (0-based) starts."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(islice(reader, record, None))  # the header and ``record`` rows
+        return reader.line_num + 1
+
+
 def load_csv(path, null_token="", tid_column=None):
     """Read a relation from a headered CSV file.
 
     Cells equal to ``null_token`` become NULL. If ``tid_column`` is given,
     that column supplies the tids (unique int64 integers, checked once at the
-    end); otherwise tids are assigned 1..n in row order. Rows are encoded
-    into the columns a chunk at a time, as they are parsed.
+    end); otherwise tids are assigned 1..n in row order. Each chunk of rows is
+    parsed into one flat cell list and each column encoded from a strided
+    slice of it, so no row list outlives its parse and a load leaves the
+    cyclic garbage collector nothing to do. Errors name the line where the
+    bad row starts.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -242,15 +255,19 @@ def load_csv(path, null_token="", tid_column=None):
         width = len(header) + (tid_idx is not None)
         for d in rel._dicts:
             d[null_token] = NULL
-        lineno = 2  # of the chunk's first row
-        for chunk in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
-            if set(map(len, chunk)) != {width}:
-                i = next(i for i, raw in enumerate(chunk) if len(raw) != width)
-                raise ValueError("%s:%d: expected %d fields, got %d"
-                                 % (path, lineno + i, width, len(chunk[i])))
-            columns = list(zip(*chunk))
+        # ends[i] counts the cells in flat through the chunk's row i; each
+        # row list is freed as soon as its cells are appended to flat
+        flat, start = [], 0  # start: the chunk's first row
+        while (ends := np.fromiter(map(len, map(flat.__iadd__, islice(
+                reader, _CHUNK_ROWS))), dtype=np.int64)).size:
+            fields = np.diff(ends, prepend=0)
+            if (fields != width).any():
+                i = int(np.argmax(fields != width))
+                raise ValueError("%s:%d: expected %d fields, got %d" % (
+                    path, _line_of(path, start + i), width, fields[i]))
+            columns = [flat[j::width] for j in range(width)]
             if tid_idx is None:
-                tids = np.arange(lineno - 1, lineno - 1 + len(chunk))
+                tids = np.arange(start + 1, start + 1 + len(ends))
             else:
                 cells = columns.pop(tid_idx)
                 try:
@@ -260,14 +277,16 @@ def load_csv(path, null_token="", tid_column=None):
                         try:
                             np.array(cell, dtype=np.int64)
                         except (ValueError, OverflowError):
-                            raise ValueError("%s:%d: malformed tid %r" % (
-                                path, lineno + i, cell)) from None
+                            line = _line_of(path, start + i)
+                            raise ValueError("%s:%d: malformed tid %r"
+                                             % (path, line, cell)) from None
             rel._extend(tids, columns)
-            lineno += len(chunk)
+            start += len(ends)
+            flat.clear()
     dup = _first_repeat(rel.tid_array())
     if dup is not None:
         raise ValueError("%s:%d: duplicate tid %d"
-                         % (path, dup + 2, rel.tid_array()[dup]))
+                         % (path, _line_of(path, dup), rel.tid_array()[dup]))
     for d in rel._dicts:
         del d[null_token]
         d[None] = NULL

@@ -428,6 +428,31 @@ def test_skip_rule_matches_no_skip_output():
     assert outs[0] == outs[1]
 
 
+def test_closing_sweep_reenqueues_counted_apart():
+    # under NULL-unequal semantics the unary-revision shortcut leaves b -> a
+    # violated here; the closing sweep flags it again, and that flag is
+    # counted both as a revision and as a sweep re-enqueue
+    rel = Relation(Schema(["p", "q", "a", "b"]))
+    rows = [[None, "1", "1", "0"], [None, "1", "1", "0"],
+            [None, "0", "0", None], ["1", "1", "0", "1"], ["2", "1", "0", "2"],
+            ["0", "1", None, "2"], ["1", "0", None, "2"], ["0", None, None, None]]
+    for tid, row in enumerate(rows, 1):
+        rel.append(tid, row)
+    fds = [FD(frozenset("p"), "a"), FD(frozenset("q"), "b"),
+           FD(frozenset("a"), "b"), FD(frozenset("b"), "a")]
+    counts = []
+    for skip in (True, False):
+        work = rel.copy()
+        stats = priority_repair(work, fds, ["a", "b"],
+                                resolve_functions(work.schema, "mv"),
+                                random.Random(0), null_equals_null=False,
+                                skip_unary_revision=skip)
+        for fd in fds:
+            assert violates(work, fd, False) == []
+        counts.append((stats.revisions, stats.sweep_reenqueues))
+    assert counts == [(1, 1), (2, 0)]
+
+
 def planted_cycle(k, seed, null_rate=0.1):
     """Relation over p, c1..ck with random cells from a three-symbol domain
     (NULL at ``null_rate``), the unary cycle c1 -> c2 -> ... -> ck -> c1 and

@@ -1,10 +1,13 @@
 import csv
+import gc
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fdrepair import Relation, Schema, load_csv, save_csv
+from fdrepair import relation
 from fdrepair.relation import _CHUNK_ROWS
 
 
@@ -123,6 +126,127 @@ def test_load_csv_ragged_row(tmp_path):
     p.write_text("a,b\nx\n")
     with pytest.raises(ValueError):
         load_csv(p)
+
+
+@pytest.mark.parametrize("text, tid_column, message", [
+    ('a,b\n"x\ny",1\nz\n', None, "4: expected 2 fields, got 1"),
+    ('tid,a\n1,"x\ny"\n1,z\n', "tid", "4: duplicate tid 1"),
+    ('tid,a\n1,"x\ny"\nq,z\n', "tid", "4: malformed tid 'q'"),
+    ('a,b\n"x\r\n\r\ny",1\n"",""\nz\n', None, "6: expected 2 fields, got 1"),
+])
+def test_load_csv_error_line_after_multiline_cell(tmp_path, text, tid_column,
+                                                  message):
+    # the line of the file on which the bad row starts, not its row number
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=r"d\.csv:%s$" % message):
+        load_csv(p, tid_column=tid_column)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("x\nx,y,z\n", "2: expected 2 fields, got 1"),  # the total is right
+    ("x,y,z\nx\n", "2: expected 2 fields, got 3"),
+    ("x,y\n" * (_CHUNK_ROWS - 1) + "x\nx,y,z\n",
+     "%d: expected 2 fields, got 1" % (_CHUNK_ROWS + 1)),  # across chunks
+    ("x,y\n" * _CHUNK_ROWS + "x,y,z\nx\n",
+     "%d: expected 2 fields, got 3" % (_CHUNK_ROWS + 2)),  # second chunk
+    ("x,y\n" * _CHUNK_ROWS + "\n", "%d: expected 2 fields, got 0"
+     % (_CHUNK_ROWS + 2)),
+])
+def test_load_csv_checks_every_row_width(tmp_path, body, message):
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n" + body)
+    with pytest.raises(ValueError, match=r"d\.csv:%s$" % message):
+        load_csv(p)
+
+
+def test_load_csv_leaves_no_work_for_older_gc_generations(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,b,c\n" + "".join("%d,v%d,%d\n" % (i % 7, i, i % 13)
+                                     for i in range(50_000)))
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        rel = load_csv(p)
+    finally:
+        gc.callbacks.remove(hook)
+    assert len(rel) == 50_000
+    assert [g for g in started if g > 0] == []
+
+
+NULL_TOKEN = "?"
+grid_cell = st.one_of(st.just(NULL_TOKEN),
+                      st.text(alphabet='ab ,"\r\n', max_size=4))
+
+
+@st.composite
+def csv_grids(draw):
+    """A header, the data rows, and whether a ``tid`` column is among them.
+    Up to two rows may be ragged, their widths possibly cancelling out, and
+    tids may repeat."""
+    width = draw(st.integers(1, 4))
+    tid_at = draw(st.one_of(st.none(), st.integers(0, width - 1)))
+    header = ["c%d" % j for j in range(width)]
+    rows = draw(st.lists(st.lists(grid_cell, min_size=width,
+                                  max_size=width), max_size=12))
+    if tid_at is not None:
+        header[tid_at] = "tid"
+        for row in rows:
+            row[tid_at] = str(draw(st.integers(-3, 40)))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.append("a")
+        elif row:
+            row.pop()
+    return header, rows, tid_at is not None
+
+
+def _written_line(row):
+    buf = io.StringIO()
+    csv.writer(buf).writerow(row)
+    return buf.getvalue()
+
+
+@given(csv_grids(), st.sampled_from([1, 2, 3, 5]))
+def test_load_csv_matches_csv_reader(tmp_path_factory, grid, chunk_rows):
+    header, rows, has_tid = grid
+    lines = [_written_line(header)] + [_written_line(r) for r in rows]
+    p = tmp_path_factory.mktemp("grid") / "g.csv"
+    p.write_bytes("".join(lines).encode())
+    with open(p, newline="", encoding="utf-8") as fh:
+        parsed = list(csv.reader(fh))[1:]
+    assert parsed == rows  # the grid itself survives csv.writer/csv.reader
+
+    def line_of(i):  # where data row i starts, counted without csv.reader
+        return len("".join(lines[:i + 1]).splitlines()) + 1
+    tid_at = header.index("tid") if has_tid else None
+    ragged = [i for i, r in enumerate(parsed) if len(r) != len(header)]
+    tids = ([int(r[tid_at]) for r in parsed] if has_tid and not ragged
+            else list(range(1, len(parsed) + 1)))
+    repeats = [i for i, t in enumerate(tids) if t in tids[:i]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation, "_CHUNK_ROWS", chunk_rows)
+        if ragged or repeats:
+            i = (ragged or repeats)[0]
+            with pytest.raises(ValueError, match=r"g\.csv:%d: %s" % (
+                    line_of(i), "expected" if ragged else "duplicate")):
+                load_csv(p, null_token=NULL_TOKEN,
+                         tid_column="tid" if has_tid else None)
+            return
+        rel = load_csv(p, null_token=NULL_TOKEN,
+                       tid_column="tid" if has_tid else None)
+    keep = [j for j in range(len(header)) if j != tid_at]
+    assert rel.schema.attributes == [header[j] for j in keep]
+    assert rel.tids == tids
+    assert [rel.column(header[j]) for j in keep] == [
+        [None if r[j] == NULL_TOKEN else r[j] for r in parsed] for j in keep]
 
 
 def test_save_csv_header_and_nulls(tmp_path):
