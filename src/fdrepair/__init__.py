@@ -10,7 +10,7 @@ from .datagen import GenConfig, generate
 from .dsf import DisjointSetForest
 from .evaluate import QualityReport, evaluate
 from .fds import (FD, attribute_closure, implies, load_fds, minimal_cover,
-                  parse_fd, parse_fds, project_fds, save_fds, violates)
+                  parse_fd, parse_fds, save_fds, violates)
 from .partition import (Partition, Preorder, assert_maximally_refined,
                         build_preorder, check_forward_repairable,
                         induced_partition)
@@ -32,7 +32,7 @@ __all__ = [
     "generate", "get_function", "implies", "induced_partition",
     "load_csv", "load_fds",
     "majority_vote", "max_value", "minimal_cover", "parse_fd", "parse_fds",
-    "pilot_fds", "priority_repair", "project_fds", "resolve_functions",
+    "pilot_fds", "priority_repair", "resolve_functions",
     "save_csv", "save_fds", "skip_revision_unary", "swipe", "update_dsf",
     "vio", "vio_fd", "violates", "weighted_vote",
 ]

@@ -10,12 +10,11 @@ import time
 
 from .datagen import GenConfig, generate
 from .evaluate import evaluate
-from .fds import load_fds, minimal_cover, save_fds
-from .partition import (build_preorder, check_forward_repairable,
-                        fds_entering_at, induced_partition)
+from .fds import load_fds, minimal_cover, rule_lines, save_fds
+from .partition import fds_entering_at
 from .priority import estimate_priority, pilot_fds
 from .relation import load_csv, save_csv
-from .swipe import RepairInvariantError, swipe
+from .swipe import plan, swipe
 
 
 def _load_inputs(args):
@@ -28,10 +27,7 @@ def _load_inputs(args):
 def _load_fn_map(path):
     fn_map = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line in rule_lines(fh):
             attr, _, name = line.partition("=")
             if not _:
                 raise ValueError("malformed fn-map line %r, expected attr=fn" % line)
@@ -42,10 +38,7 @@ def _load_fn_map(path):
 def _load_priority_file(path):
     override = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line in rule_lines(fh):
             index, _, order = line.partition(":")
             if not _:
                 raise ValueError("malformed priority line %r, "
@@ -97,21 +90,14 @@ def cmd_repair(args):
 
 def cmd_partition(args):
     rel, fds = _load_inputs(args)
-    cover = minimal_cover(fds)
-    part = induced_partition(build_preorder(cover, rel.schema), rel.schema)
-    if not check_forward_repairable(part, cover):
-        raise RepairInvariantError("partition %s is not forward-repairable"
-                                   % part.classes)
+    cover, part, non_rep = plan(fds, rel.schema)
     for i, cls in enumerate(part.classes, start=1):
         print("C%d: %s" % (i, ", ".join(cls)))
-        fds_i = fds_entering_at(cover, part, i)
-        pilots, rest = pilot_fds(cls, fds_i)
+        pilots, rest = pilot_fds(cls, fds_entering_at(cover, part, i))
         for fd in pilots:
             print("  pilot:     %s" % fd)
         for fd in rest:
             print("  non-pilot: %s" % fd)
-    non_rep = [a for a in rel.schema.attributes
-               if a not in set(part.attributes())]
     if non_rep:
         print("non-repairable: %s" % ", ".join(non_rep))
     return 0

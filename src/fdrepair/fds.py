@@ -1,4 +1,4 @@
-"""Functional dependencies: implication, projection and minimal covers.
+"""Functional dependencies: implication, minimal covers and violations.
 
 An FD is written X -> a with a non-empty attribute set X and a single
 right-hand side attribute. Implication is decided through attribute
@@ -87,12 +87,6 @@ def minimal_cover(fds):
     return cover
 
 
-def project_fds(fds, z):
-    """The FDs of ``fds`` whose attributes all lie in ``z`` (syntactic projection)."""
-    z = set(z)
-    return [fd for fd in fds if fd.lhs <= z and fd.rhs in z]
-
-
 def group_rows(rel, attrs, null_equals_null=True):
     """Group the rows by their ``attrs`` values: (ids, may).
 
@@ -172,13 +166,19 @@ def parse_fd(line, schema=None):
     return FD(frozenset(lhs), rhs)
 
 
+def rule_lines(lines):
+    """The rules in a rule file's ``lines``: ``#`` starts a comment, and a
+    line left blank holds no rule. Shared by FD, fn-map and priority files."""
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line
+
+
 def parse_fds(text, schema=None):
     """Parse an FD file body: one FD per line, ``#`` starts a comment."""
     fds = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in rule_lines(text.splitlines()):
         fd = parse_fd(line, schema)
         if fd not in fds:
             fds.append(fd)

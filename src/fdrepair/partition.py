@@ -6,13 +6,17 @@ classes (mutual reachability), and a topological sort of the quotient gives
 an ordered partition whose classes can be repaired one at a time, each by
 changing only its own attributes. That partition is maximally refined:
 splitting any class breaks the property.
+
+An FD enters scope at its entering class: the last class holding one of
+its attributes, the first whose prefix of classes holds them all. Swipe
+repairs each FD there, so the partition is forward repairable when every
+FD's entering class holds its rhs.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .fds import project_fds
 
 
 @dataclass
@@ -27,21 +31,8 @@ class Partition:
     """Ordered disjoint attribute classes; earlier classes are repaired first."""
     classes: list = field(default_factory=list)  # list of sorted attribute lists
 
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __len__(self):
-        return len(self.classes)
-
     def attributes(self):
         return [a for cls in self.classes for a in cls]
-
-    def prefix(self, i):
-        """Union of the first ``i`` classes."""
-        out = set()
-        for cls in self.classes[:i]:
-            out.update(cls)
-        return out
 
 
 def build_preorder(cover, schema):
@@ -70,62 +61,56 @@ def induced_partition(pre, schema):
     schema index of their attributes, so the result is deterministic.
     """
     attrs, m = pre.attributes, pre.matrix
-    n = len(attrs)
-    both = m & m.T
-    assigned = [-1] * n
+    assigned = np.full(len(attrs), -1)
     classes = []
-    for i in range(n):
-        if assigned[i] >= 0:
-            continue
-        members = [j for j in range(n) if both[i, j]]
-        for j in members:
-            assigned[j] = len(classes)
-        classes.append(members)
+    for i in range(len(attrs)):
+        if assigned[i] < 0:
+            members = np.flatnonzero(m[i] & m[:, i])
+            assigned[members] = len(classes)
+            classes.append(members.tolist())
 
-    # quotient edges: (b, a) in P+ across classes puts b's class first
-    n_cls = len(classes)
-    preds = [set() for _ in range(n_cls)]
-    for b in range(n):
-        for a in range(n):
-            if m[b, a] and assigned[b] != assigned[a]:
-                preds[assigned[a]].add(assigned[b])
+    # quotient edges: b reaches every member of a class once it reaches one
+    # (the closure is transitive), and then b's class comes first
+    preds = [set(assigned[m[:, members[0]]].tolist()) - {c}
+             for c, members in enumerate(classes)]
 
     def rank(c):
         return min(schema.index(attrs[j]) for j in classes[c])
 
-    order = []
-    remaining = set(range(n_cls))
-    placed = set()
-    while remaining:
-        ready = [c for c in remaining if preds[c] <= placed]
-        nxt = min(ready, key=rank)
-        order.append(nxt)
-        placed.add(nxt)
-        remaining.remove(nxt)
+    order, remaining = [], set(range(len(classes)))
+    while remaining:  # a class is ready once none of its predecessors remain
+        order.append(min((c for c in remaining
+                          if preds[c].isdisjoint(remaining)), key=rank))
+        remaining.remove(order[-1])
 
     return Partition([sorted((attrs[j] for j in classes[c]), key=schema.index)
                       for c in order])
 
 
+def _class_index(part):
+    """Attribute -> 1-based index of its class."""
+    return {a: i for i, cls in enumerate(part.classes, start=1) for a in cls}
+
+
+def _entering(fd, where):
+    """``fd``'s entering class under the index ``where``; ``math.inf``
+    (it never enters) if an attribute lies outside the partition."""
+    return max(where.get(a, math.inf) for a in fd.attributes)
+
+
 def fds_entering_at(cover, part, i):
-    """FDs first in scope at class ``i`` (1-based): in the prefix projection
-    of the first i classes but not of the first i-1."""
-    prev = project_fds(cover, part.prefix(i - 1))
-    return [fd for fd in project_fds(cover, part.prefix(i)) if fd not in prev]
+    """FDs first in scope at class ``i`` (1-based), those whose entering
+    class is ``i``: in the prefix projection of the first i classes but not
+    of the first i-1. An FD with an attribute outside ``part`` never enters."""
+    where = _class_index(part)
+    return [fd for fd in cover if _entering(fd, where) == i]
 
 
 def check_forward_repairable(part, cover):
-    """True iff every FD entering at class i has its rhs in that class."""
-    covered = set()
-    for fd in cover:
-        covered |= fd.attributes
-    if not covered <= set(part.attributes()):
-        return False
-    for i, cls in enumerate(part.classes, start=1):
-        for fd in fds_entering_at(cover, part, i):
-            if fd.rhs not in cls:
-                return False
-    return True
+    """True iff every FD's attributes lie in ``part`` and its entering class
+    holds its rhs."""
+    where = _class_index(part)
+    return all(_entering(fd, where) == where.get(fd.rhs) for fd in cover)
 
 
 def assert_maximally_refined(part, cover, max_class_size=12):

@@ -402,12 +402,11 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
     """
     if stats is None:
         stats = RepairStats()
-    pilots, rest = pilot_fds(class_attrs, fds_i, priority=None)
-    if rest:
-        if priority is None:
-            priority, stats.vio_sizes = estimate_priority(
-                rel, class_attrs, fds_i, rng, null_equals_null)
-        _, rest = pilot_fds(class_attrs, fds_i, priority)
+    cls = set(class_attrs)
+    if priority is None and any(fd.lhs & cls for fd in fds_i):
+        priority, stats.vio_sizes = estimate_priority(
+            rel, class_attrs, fds_i, rng, null_equals_null)
+    pilots, rest = pilot_fds(class_attrs, fds_i, priority)
     stats.priority = list(priority or [])
     ordered = pilots + rest
     pending = [True] * len(ordered)  # polled lowest index first

@@ -200,8 +200,9 @@ class Relation:
 
     @property
     def rows(self):
-        return [list(row) for row in
-                zip(*(self.column(a) for a in self.schema.attributes))]
+        columns = [self.column(a) for a in self.schema.attributes]
+        return ([list(row) for row in zip(*columns)] if columns
+                else [[] for _ in range(len(self))])
 
     def row_of(self, tid):
         codes = self._data[:, self._position(tid)].tolist()

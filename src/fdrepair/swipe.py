@@ -52,6 +52,26 @@ def resolve_functions(schema, repair_fn="mv", fn_map=None):
     return functions
 
 
+def plan(fds, schema):
+    """What swipe repairs, before it touches a row: (minimal cover, induced
+    partition, schema attributes outside the partition, which no FD names).
+
+    Raises SchemaError for an FD over an attribute outside ``schema`` and
+    RepairInvariantError if the partition is not forward repairable.
+    """
+    for fd in fds:
+        for a in sorted(fd.attributes):
+            if a not in schema:
+                raise SchemaError("FD %s uses unknown attribute %r" % (fd, a))
+    cover = minimal_cover(fds)
+    part = induced_partition(build_preorder(cover, schema), schema)
+    if not check_forward_repairable(part, cover):
+        raise RepairInvariantError("partition %s is not forward-repairable"
+                                   % part.classes)
+    in_part = set(part.attributes())
+    return cover, part, [a for a in schema.attributes if a not in in_part]
+
+
 def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
           priority_override=None, null_equals_null=True,
           skip_unary_revision=True):
@@ -65,22 +85,11 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
     leaves out an attribute of its class, before anything is repaired.
     """
     t0 = time.perf_counter()
-    for fd in fds:
-        for a in sorted(fd.attributes):
-            if a not in rel.schema:
-                raise SchemaError("FD %s uses unknown attribute %r" % (fd, a))
+    cover, part, non_repairable = plan(fds, rel.schema)
     if seed is None:
         seed = random.randrange(2**32)
     rng = random.Random(seed)
     functions = resolve_functions(rel.schema, repair_fn, fn_map)
-
-    cover = minimal_cover(fds)
-    part = induced_partition(build_preorder(cover, rel.schema), rel.schema)
-    if not check_forward_repairable(part, cover):
-        raise RepairInvariantError("partition %s is not forward-repairable"
-                                   % part.classes)
-    non_repairable = [a for a in rel.schema.attributes
-                      if a not in set(part.attributes())]
 
     for i, priority in sorted((priority_override or {}).items()):
         if not 1 <= i <= len(part.classes):

@@ -6,7 +6,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from fdrepair import load_csv, load_fds, violates
+from fdrepair import (load_csv, load_fds, minimal_cover, pilot_fds, swipe,
+                      violates)
 from fdrepair.cli import main
 
 
@@ -87,12 +88,55 @@ def test_repair_fn_map_override(workdir):
     assert rc == 0
 
 
+def _priority_inputs(tmp_path, priority_text):
+    """Two cyclic classes, [a, b] and [c, d], and a priority file."""
+    data, fds, prio = (tmp_path / n for n in ("d.csv", "f.txt", "p.txt"))
+    data.write_text("a,b,c,d\n1,1,1,1\n1,2,1,2\n2,2,2,1\n2,1,1,1\n")
+    fds.write_text("a -> b\nb -> a\nc -> d\nd -> c\n")
+    prio.write_text(priority_text)
+    return ["repair", "--data", str(data), "--fds", str(fds),
+            "--out", str(tmp_path / "out.csv"), "--priority-file", str(prio),
+            "--report", str(tmp_path / "r.json"), "--seed", "0"]
+
+
+def test_repair_priority_file(tmp_path):
+    argv = _priority_inputs(
+        tmp_path, "# manual order\n1: b > a\n\n2 : d > c  # second class\n")
+    assert main(argv) == 0
+    classes = json.loads((tmp_path / "r.json").read_text())["classes"]
+    assert [(c["attributes"], c["priority"]) for c in classes] == [
+        (["a", "b"], ["b", "a"]), (["c", "d"], ["d", "c"])]
+
+
+def test_repair_priority_file_malformed_line(tmp_path, capsys):
+    assert main(_priority_inputs(tmp_path, "1: b > a\n2 d > c\n")) == 1
+    assert ("malformed priority line '2 d > c'"
+            in capsys.readouterr().err)
+
+
 def test_partition_listing(workdir, capsys):
     rc = main(["partition", "--data", str(workdir / "data.csv"),
                "--fds", str(workdir / "rules.txt")])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert out.startswith("C1:")
+    rel = load_csv(workdir / "data.csv")
+    fds = load_fds(workdir / "rules.txt", rel.schema)
+    cover = minimal_cover(fds)
+    outcome = swipe(rel, fds, seed=0)
+    expected = []
+    for i, (cls, c) in enumerate(zip(outcome.partition, outcome.classes),
+                                 start=1):
+        expected.append("C%d: %s" % (i, ", ".join(cls)))
+        # the FDs swipe polled in this class, in cover order
+        pilots, rest = pilot_fds(cls, [fd for fd in cover
+                                       if fd in c.stats.polls_per_fd])
+        expected += ["  pilot:     %s" % fd for fd in pilots]
+        expected += ["  non-pilot: %s" % fd for fd in rest]
+    if outcome.non_repairable:
+        expected.append("non-repairable: %s"
+                        % ", ".join(outcome.non_repairable))
+    assert capsys.readouterr().out.splitlines() == expected
+    assert any(line.startswith("  pilot:") for line in expected)
+    assert any(line.startswith("  non-pilot:") for line in expected)
 
 
 def test_estimate_listing(workdir, capsys):

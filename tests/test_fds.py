@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdrepair import (FD, Relation, Schema, SchemaError, attribute_closure,
-                      implies, minimal_cover, parse_fd, parse_fds,
-                      project_fds, violates)
+                      implies, minimal_cover, parse_fd, parse_fds, violates)
 from fdrepair.fds import mixed_rows
 
 
@@ -80,26 +79,6 @@ def test_minimal_cover_reduces_lhs():
 
 def test_minimal_cover_drops_trivial():
     assert minimal_cover([fd("AB", "A")]) == []
-
-
-def test_project_fds_running_example(hospital_fds):
-    c1 = {"hospital name", "#provider"}
-    assert project_fds(hospital_fds, c1) == hospital_fds[:2]
-
-
-def test_project_fds_empty_and_full(hospital_fds):
-    assert project_fds(hospital_fds, set()) == []
-    attrs = set().union(*(f.attributes for f in hospital_fds))
-    assert project_fds(hospital_fds, attrs) == hospital_fds
-
-
-@given(st.lists(st.tuples(st.sets(st.sampled_from("ABCD"), min_size=1),
-                          st.sampled_from("ABCD")), max_size=6),
-       st.sets(st.sampled_from("ABCD")), st.sets(st.sampled_from("ABCD")))
-def test_project_fds_monotone(pairs, z1, z2):
-    fds = [FD(lhs, rhs) for lhs, rhs in pairs]
-    small, large = sorted([z1, z1 | z2], key=len)
-    assert set(project_fds(fds, small)) <= set(project_fds(fds, large))
 
 
 def test_violates_measure_code(hospital_snippet):

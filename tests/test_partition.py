@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdrepair import (FD, Partition, Schema, assert_maximally_refined,
                       build_preorder, check_forward_repairable,
                       induced_partition, minimal_cover)
+from fdrepair.partition import fds_entering_at
 
 
 def fd(lhs, rhs):
@@ -129,6 +130,45 @@ def test_induced_partition_always_forward_repairable(pairs):
     assert check_forward_repairable(part, cover)
     assert sorted(part.attributes()) == \
         sorted(set().union(*(f.attributes for f in cover)) if cover else set())
+
+
+def entering_by_definition(cover, part, i):
+    """FDs in the projection onto the first ``i`` classes but not onto the
+    first ``i - 1``."""
+    def projection(k):
+        prefix = set().union(*part.classes[:k])
+        return [fd for fd in cover if fd.attributes <= prefix]
+    before = projection(i - 1)
+    return [fd for fd in projection(i) if fd not in before]
+
+
+def forward_repairable_by_definition(part, cover):
+    if not set().union(*(fd.attributes for fd in cover)) <= set(part.attributes()):
+        return False
+    return all(fd.rhs in cls for i, cls in enumerate(part.classes, start=1)
+               for fd in entering_by_definition(cover, part, i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fdset)
+@example([({"A"}, "B")])  # swapped, [B], [A] is not forward repairable
+def test_entering_class_matches_prefix_projection(pairs):
+    schema = Schema(list("ABCDEFGH"))
+    cover = minimal_cover([FD(lhs, rhs) for lhs, rhs in pairs])
+    part = induced_partition(build_preorder(cover, schema), schema)
+    c = part.classes
+    swapped = [Partition(c[:i] + [c[i + 1], c[i]] + c[i + 2:])
+               for i in range(len(c) - 1)]
+    for p in [part, Partition(c[:-1])] + swapped:
+        at = range(1, len(p.classes) + 1)
+        assert [fds_entering_at(cover, p, i) for i in at] == \
+            [entering_by_definition(cover, p, i) for i in at]
+        assert check_forward_repairable(p, cover) == \
+            forward_repairable_by_definition(p, cover)
+    for fd in cover:  # every cover FD enters at exactly one class
+        assert sum(fd in fds_entering_at(cover, part, i)
+                   for i in range(1, len(c) + 1)) == 1
+    assert check_forward_repairable(part, cover)
 
 
 @settings(max_examples=100, deadline=None)
