@@ -55,10 +55,11 @@ def evaluate(dirty, repaired, gold):
     gold_rows, found = _rows_of(tids, order, gold.tid_array())
     if not found.all():
         missing = gold.tid_array()[~found].tolist()
-        raise KeyError("gold tids %r absent from dirty relation" % (sorted(missing),))
+        raise ValueError("gold tids %r absent from dirty relation"
+                         % (sorted(missing),))
     repaired_rows, found = _rows_of(tids, order, repaired.tid_array())
     if len(repaired) != len(dirty) or not found.all():
-        raise KeyError("repaired relation is not tid-aligned with dirty")
+        raise ValueError("repaired relation is not tid-aligned with dirty")
     of_dirty_row = np.empty(len(dirty), dtype=np.int64)
     of_dirty_row[repaired_rows] = np.arange(len(repaired))
 

@@ -27,10 +27,12 @@ numbers groups from a presence mask rather than a sort (``_dense``) and
 has two paths, chosen by size alone: with at most ``_GRID_PER_ROW``
 (group, code) cells per row it sums on the whole grid with
 ``np.bincount``; past that it sorts the pairs that occur with
-``np.unique``. Each caller keeps its own tie rule: Vio settles ties itself
-(see ``_minority_rows``), and the vote hands a class whose top is tied to
-the repair function. Other repair functions are called once per class.
-Results and the seeded rng stream are those of a row-by-row run.
+``np.unique``. Vio settles the groups whose top is tied in one pass
+(``_settle``): it draws among all tied values, NULL last, groups in order
+of their first row. The vote hands a class whose top is tied to the
+function with just its tied values, so the function's own tie rule draws;
+``max`` and user-supplied functions are called once per class on the whole
+bag. Results and the seeded rng stream are those of a row-by-row run.
 """
 
 from collections import Counter
@@ -176,14 +178,47 @@ def _group_min(row_group, keys, n_groups):
     return least
 
 
+def _settle(rng, values, groups, codes, order_key):
+    """Settle tied (group, code) pairs, groups in ascending ``order_key``
+    (distinct per group): a group with one pair takes its code, the others
+    draw by ``rng.choice`` among their codes sorted by ``values``, NULL
+    last. Returns the groups and their codes.
+
+    ``rng.choice(range(n))`` draws the bits ``rng.choice`` of any n values
+    does. The distinct tied values are ranked once, across groups; values
+    that compare only within a group, as in a column mixing ``int`` and
+    ``str``, fall back to one sort of the pairs.
+    """
+    distinct, pair_code = np.unique(codes, return_inverse=True)
+    try:
+        by_value = sorted(range(len(distinct)), key=lambda i: (
+            distinct[i] == NULL, values[distinct[i]]))
+    except TypeError:
+        key, pairs = order_key[groups].tolist(), codes.tolist()
+        order = np.array(sorted(range(len(pairs)), key=lambda i: (
+            key[i], pairs[i] == NULL, values[pairs[i]])), dtype=np.intp)
+    else:
+        rank = np.empty(len(distinct), dtype=np.intp)
+        rank[by_value] = np.arange(len(distinct))
+        order = np.lexsort((rank[pair_code], order_key[groups]))
+    groups, codes = groups[order], codes[order]
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    counts = np.diff(starts, append=len(groups))
+    many = counts > 1
+    pick = starts.copy()
+    draws = map(rng.choice, map(range, counts[many].tolist()))
+    pick[many] += np.fromiter(draws, dtype=np.intp, count=int(many.sum()))
+    return groups[starts], codes[pick]
+
+
 def _minority_rows(rel, fd, rng, null_equals_null):
     """Mask of the rows whose rhs value differs from their lhs group's
     majority value.
 
-    Several values sharing a group's top count are sorted with NULL last
-    and settled by ``rng.choice``; such groups draw in order of their first
-    row. Rows that may not group (NULL keys under NULL-unequal semantics)
-    are groups of one and never differ.
+    Several values sharing a group's top count are settled by ``_settle``,
+    NULL among them, groups in order of their first row. Rows that may not
+    group (NULL keys under NULL-unequal semantics) are groups of one and
+    never differ.
     """
     minority = np.zeros(len(rel), dtype=bool)
     ids, may = group_rows(rel, sorted(fd.lhs), null_equals_null)
@@ -192,18 +227,12 @@ def _minority_rows(rel, fd, rng, null_equals_null):
         return minority
     codes = rel.codes(fd.rhs)[rows]
     row_group, n_top, winner, (top_group, top_code) = _tally(ids[rows], codes)
-    tied = np.flatnonzero(n_top > 1)
-    if len(tied):
-        candidates = {}
-        is_tied = n_top[top_group] > 1
-        for g, c in zip(top_group[is_tied].tolist(),
-                        top_code[is_tied].tolist()):
-            candidates.setdefault(g, []).append(c)
+    tied = n_top[top_group] > 1
+    if tied.any():
         first = _group_min(row_group, np.arange(len(rows)), len(n_top))
-        values = rel.values(fd.rhs)
-        for g in tied[np.argsort(first[tied], kind="stable")].tolist():
-            winner[g] = rng.choice(sorted(candidates[g], key=lambda c: (
-                c == NULL, values[c])))
+        groups, won = _settle(rng, rel.values(fd.rhs), top_group[tied],
+                              top_code[tied], first)
+        winner[groups] = won
     minority[rows] = codes != winner[row_group]
     return minority
 
@@ -272,36 +301,45 @@ def _null_counts(rel, rows):
                for a in rel.schema.attributes)
 
 
-def _vote(rel, fn, rows, classes, old):
-    """Sum a voting function's weights per (class, code) pair of the rows.
+def _vote(rel, fd, fn, rng, rows, classes, old, tids):
+    """Vote as ``fn``, a voting function, on the rhs codes ``old`` of
+    ``rows``: its weights are summed per (class, code) pair over all classes
+    at once, and a class whose top is one code takes it. A class whose top
+    is tied is handed to ``fn`` with just its tied values, once each at
+    equal weight, classes in order of their least tid: ``fn`` applies its
+    own tie rule and makes the draw it would make on the whole bag.
 
-    Returns each row's dense class index, its class's top code, and a mask
-    of the rows whose class has two or more codes sharing the top; the top
-    code of such a class is one of them, left for ``fn`` to settle.
+    Returns each row's dense class index, each class's least tid, and each
+    row's new code.
     """
     weights = None
     if fn.vote_exponent:
         nulls = _null_counts(rel, rows)
         weights = (len(rel.schema) - nulls) ** fn.vote_exponent
-    row_class, n_top, winner, _ = _tally(classes, old, weights)
-    return row_class, winner[row_class], n_top[row_class] > 1
+    row_class, n_top, winner, (top_class, top_code) = _tally(
+        classes, old, weights)
+    least = _group_min(row_class, tids, len(n_top))
+    tied = n_top[top_class] > 1
+    if tied.any():
+        order = np.argsort(least[top_class[tied]], kind="stable")
+        cls, code = top_class[tied][order], top_code[tied][order]
+        winner[cls] = _call_per_class(rel, fd, fn, rng, least[cls], code,
+                                      np.zeros(len(cls), dtype=np.int64))
+    return row_class, least, winner[row_class]
 
 
-def _call_per_class(rel, fd, fn, rng, rows, tids, least):
-    """Call ``fn`` once per class (the rows sharing a ``least`` tid),
-    classes by least tid and each bag's values and NULL counts in tid
-    order; returns each row's new code."""
-    order = np.lexsort((tids, least))
-    rows, least = rows[order], least[order]
-    bounds = [0, *(np.flatnonzero(np.diff(least)) + 1).tolist(), len(rows)]
-    bag = list(map(rel.values(fd.rhs).__getitem__,
-                   rel.codes(fd.rhs)[rows].tolist()))
-    null_counts = _null_counts(rel, rows).tolist()
+def _call_per_class(rel, fd, fn, rng, least, codes, null_counts):
+    """Call ``fn`` once per class, a run of entries sharing a ``least``
+    tid, on the values of its rhs ``codes`` and its ``null_counts``; the
+    entries come sorted by least tid. Returns each entry's new code."""
+    bounds = [0, *(np.flatnonzero(np.diff(least)) + 1).tolist(), len(least)]
+    bag = list(map(rel.values(fd.rhs).__getitem__, codes.tolist()))
+    null_counts = null_counts.tolist()
     width = len(rel.schema)
-    new = np.empty(len(rows), dtype=rel.codes(fd.rhs).dtype)
+    new = np.empty_like(codes)
     for start, end in zip(bounds, bounds[1:]):
         v_fix = fn(bag[start:end], null_counts[start:end], width, rng)
-        new[order[start:end]] = rel.encode(fd.rhs, v_fix)
+        new[start:end] = rel.encode(fd.rhs, v_fix)
     return new
 
 
@@ -311,17 +349,17 @@ def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
     class showing more than one rhs value with the repair function.
     Returns the number of violated classes.
 
-    A voting function (``fn.vote_exponent`` set) first votes on codes over
-    all classes at once: weights are summed per (class, code) pair, and a
+    A voting function (``fn.vote_exponent`` set) votes on codes over all
+    classes at once (``_vote``), summing weights per (class, code) pair. A
     class whose top is one code takes it, which is the value ``fn`` would
-    return, since no tie arises. Each winner is a (class, code) pair
+    return, since no tie arises; each such winner is a (class, code) pair
     occurring in the class, so this vote is preservative by construction.
-    The classes whose top is tied, and every class of any other function,
-    are passed to ``fn`` itself, once per class, classes in order of their
-    least tid and each bag's values and NULL counts in tid order; so the
-    rng draws the ties of ``majority_vote``/``weighted_vote`` exactly as a
-    call per class would. The change log lists classes by least tid and
-    cells by tid.
+    A class whose top is tied is handed to ``fn`` with its tied values only,
+    once each at equal weight, which settles it as the whole bag would: the
+    same value and the same rng draw. Any other function is called once per
+    class on its whole bag, values and NULL counts in tid order. Calls go
+    in order of the classes' least tids. The change log lists classes by
+    least tid and cells by tid.
     """
     update_dsf(rel, fd, dsf, null_equals_null)
     codes = rel.codes(fd.rhs)
@@ -332,16 +370,17 @@ def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
     tids = rel.tid_array()[rows]
     old = codes[rows]
     if fn.vote_exponent is None:
-        row_class, _ = _dense(comp[rows])
+        row_class, n_classes = _dense(comp[rows])
+        least = _group_min(row_class, tids, n_classes)
+        order = np.lexsort((tids, least[row_class]))
         new = np.empty_like(old)
-        called = np.ones(len(rows), dtype=bool)
+        new[order] = _call_per_class(
+            rel, fd, fn, rng, least[row_class][order], old[order],
+            _null_counts(rel, rows[order]))
     else:
-        row_class, new, called = _vote(rel, fn, rows, comp[rows], old)
-    n_classes = int(row_class.max()) + 1
-    least = _group_min(row_class, tids, n_classes)
-    if called.any():
-        new[called] = _call_per_class(rel, fd, fn, rng, rows[called],
-                                      tids[called], least[row_class[called]])
+        row_class, least, new = _vote(rel, fd, fn, rng, rows, comp[rows],
+                                      old, tids)
+    n_classes = len(least)
     changed = np.flatnonzero(new != old)
     if change_log is not None:
         # A class's cells all take one new code, so the log keeps the new

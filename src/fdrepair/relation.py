@@ -238,7 +238,8 @@ def load_csv(path, null_token="", tid_column=None):
     parsed into one flat cell list and each column encoded from a strided
     slice of it, so no row list outlives its parse and a load leaves the
     cyclic garbage collector nothing to do. Errors name the line where the
-    bad row starts.
+    bad row starts: of the ragged rows and malformed tids, the first in the
+    file, whatever the chunk size; duplicate tids once all rows are read.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -262,13 +263,14 @@ def load_csv(path, null_token="", tid_column=None):
         while (ends := np.fromiter(map(len, map(flat.__iadd__, islice(
                 reader, _CHUNK_ROWS))), dtype=np.int64)).size:
             fields = np.diff(ends, prepend=0)
-            if (fields != width).any():
-                i = int(np.argmax(fields != width))
-                raise ValueError("%s:%d: expected %d fields, got %d" % (
-                    path, _line_of(path, start + i), width, fields[i]))
+            ragged = np.flatnonzero(fields != width)
+            # the rows before the first ragged one are well formed, and a bad
+            # tid among them comes first in the file
+            n = int(ragged[0]) if len(ragged) else len(ends)
+            del flat[n * width:]
             columns = [flat[j::width] for j in range(width)]
             if tid_idx is None:
-                tids = np.arange(start + 1, start + 1 + len(ends))
+                tids = np.arange(start + 1, start + 1 + n)
             else:
                 cells = columns.pop(tid_idx)
                 try:
@@ -281,6 +283,9 @@ def load_csv(path, null_token="", tid_column=None):
                             line = _line_of(path, start + i)
                             raise ValueError("%s:%d: malformed tid %r"
                                              % (path, line, cell)) from None
+            if len(ragged):
+                raise ValueError("%s:%d: expected %d fields, got %d" % (
+                    path, _line_of(path, start + n), width, fields[n]))
             rel._extend(tids, columns)
             start += len(ends)
             flat.clear()

@@ -76,14 +76,16 @@ def test_schema_mismatch_rejected():
 def test_gold_tid_outside_dirty_rejected():
     dirty = make_rel(DIRTY)
     gold = make_rel([(7, ["x", "1"])])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError,
+                       match=r"gold tids \[7\] absent from dirty relation"):
         evaluate(dirty, dirty.copy(), gold)
 
 
 def test_misaligned_repaired_rejected():
     dirty = make_rel(DIRTY)
     repaired = make_rel(DIRTY[:2])
-    with pytest.raises(KeyError):
+    with pytest.raises(
+            ValueError, match="repaired relation is not tid-aligned with dirty"):
         evaluate(dirty, repaired, dirty.copy())
 
 

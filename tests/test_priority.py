@@ -227,9 +227,21 @@ FEWEST_NULLS = RepairFunction("fewest-nulls", True, lambda vs, ns, w, rng: vs[
     min(range(len(vs)), key=lambda i: (ns[i], rng.random()))])
 
 
+# Vio ties of 2, 3 and 4 values, NULL among them. Under a -> c the groups'
+# first rows come in the order a = 2, 1, NULL, their ids (a's codes, 0 for
+# NULL) in the order NULL, 2, 1, and their lhs values in the order 1, 2,
+# NULL; under ab -> c the tied groups' first rows and ids differ in order too.
+VIO_TIES = [["2", "0", "1"], ["2", "0", "0"], ["1", "1", "2"],
+            [None, "1", "0"], ["1", "1", None], [None, "0", "2"],
+            ["2", "1", None], ["1", "0", "0"], ["1", "0", "1"],
+            [None, "1", None]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(cells, st.sampled_from([*BUILTINS.values(), FEWEST_NULLS]),
        st.booleans(), st.randoms(use_true_random=False))
+@example(VIO_TIES, MV, True, random.Random(0))
+@example(VIO_TIES, WV, False, random.Random(0))
 def test_vio_and_fix_match_row_loop_reference(rows, fn, null_equals_null,
                                              rng):
     # same results and the same draws from the rng, with tids out of row
@@ -256,6 +268,14 @@ def test_vio_and_fix_match_row_loop_reference(rows, fn, null_equals_null,
         assert forest.classes() == ref_forest.classes()
 
 
+def recording(fn, bags):
+    """``fn`` under its own exponent, appending each bag it is handed."""
+    def pick(values, null_counts, width, rng):
+        bags.append(values)
+        return fn._pick(values, null_counts, width, rng)
+    return RepairFunction(fn.name, True, pick, fn.vote_exponent)
+
+
 # classes of (value, NULLs among p and q) entries over a small domain, so
 # that ties are common
 vote_bags = st.lists(st.lists(
@@ -277,9 +297,25 @@ vote_bags = st.lists(st.lists(
 # zero-weight rows: every cell NULL, so (4 - 4) ** 4 == 0 under wv
 @example([[(None, 2), (None, 2), ("x", 2)], [(None, 2), ("y", 0)]], True, WV,
          random.Random(3))
+# zero-weight rows beside tied constants, whose NULL pair totals 0
+@example([[(None, 2), ("x", 2), ("y", 2)], [("z", 2), ("x", 2), (None, 2)]],
+         True, WV, random.Random(4))
+# NULL tied with one constant in some classes (no draw) and beside two in
+# another
+@example([[("y", 0), (None, 0)], [("x", 0), ("z", 0), (None, 0)],
+          [(None, 1), ("x", 1)]], False, MV, random.Random(5))
+# tied classes whose least tids come in another order than their roots
+# (first rows)
+@example([[("x", 0), ("y", 0)], [("z", 0), ("y", 0)],
+          [("x", 1), ("z", 1), ("y", 1)], [("y", 0), ("x", 0)]], False, MV,
+         random.Random(6))
+@example([[("x", 0), ("y", 0)], [("z", 0), ("y", 0)],
+          [("x", 1), ("z", 1), ("y", 1)], [("y", 0), ("x", 0)]], False, WV,
+         random.Random(6))
 def test_array_vote_matches_per_class_vote(bags, null_key, fn, rng):
     # fix's array vote against majority_vote/weighted_vote called class by
-    # class: same winners, same changed cells and the same rng draws
+    # class: same winners, same changed cells and the same rng draws; fix
+    # hands the function only a tied top, each value once
     rows = [[None if null_key and i == 0 else str(i), v,
              *[None] * n, *["f"] * (2 - n)]
             for i, bag in enumerate(bags) for v, n in bag]
@@ -289,13 +325,35 @@ def test_array_vote_matches_per_class_vote(bags, null_key, fn, rng):
     fd = FD(frozenset("k"), "v")
     seed = rng.randrange(1000)
     got_rng, ref_rng = random.Random(seed), random.Random(seed)
-    log = ChangeLog()
-    fixes = fix(rel, fd, DisjointSetForest(tids), fn, got_rng, change_log=log)
+    log, handed = ChangeLog(), []
+    fixes = fix(rel, fd, DisjointSetForest(tids), recording(fn, handed),
+                got_rng, change_log=log)
     ref = fix_reference(rel, ref_rows, fd, RowUnionFind(tids), fn, ref_rng,
                         True)
     assert (fixes, log) == ref
     assert rel.rows == ref_rows
     assert got_rng.getstate() == ref_rng.getstate()
+    assert all(len(set(bag)) == len(bag) > 1 for bag in handed)
+
+
+def test_vio_ties_of_mixed_types_settle_per_group():
+    # ints tie in one group, strs in another: only values of one group are
+    # compared, as in the row loop, so neither raises
+    rows = [["1", 2], ["1", 1], ["2", "y"], ["2", "x"], ["3", 1], ["3", "x"],
+            ["3", "x"]]
+    rel = Relation(Schema(["a", "b"]), [7, 3, 5, 1, 2, 6, 4], rows)
+    fd = FD(frozenset("a"), "b")
+    for seed in range(8):
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert vio_fd(rel, fd, got_rng) == vio_fd_reference(rel, fd, ref_rng,
+                                                            True)
+        assert got_rng.getstate() == ref_rng.getstate()
+
+
+def test_vio_tie_of_incomparable_values_raises():
+    rel = Relation(Schema(["a", "b"]), [1, 2], [["1", 1], ["1", "x"]])
+    with pytest.raises(TypeError):
+        vio_fd(rel, FD(frozenset("a"), "b"), random.Random(0))
 
 
 def tally_reference(groups, codes, weights):

@@ -160,6 +160,23 @@ def test_load_csv_checks_every_row_width(tmp_path, body, message):
         load_csv(p)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("q,1\n1,2,3\n", "2: malformed tid 'q'"),
+    ("1,2,3\nq,1\n", "2: expected 2 fields, got 3"),
+])
+@pytest.mark.parametrize("chunk_rows", [1, 2, _CHUNK_ROWS])
+def test_load_csv_names_first_bad_record(tmp_path, body, message,
+                                         chunk_rows):
+    # a ragged row and a malformed tid: the one earlier in the file is
+    # reported, whether or not both fall in one chunk
+    p = tmp_path / "d.csv"
+    p.write_text("tid,a\n" + body)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation, "_CHUNK_ROWS", chunk_rows)
+        with pytest.raises(ValueError, match=r"d\.csv:%s$" % message):
+            load_csv(p, tid_column="tid")
+
+
 def test_load_csv_leaves_no_work_for_older_gc_generations(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,c\n" + "".join("%d,v%d,%d\n" % (i % 7, i, i % 13)
