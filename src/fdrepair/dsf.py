@@ -2,10 +2,14 @@
 
 The forest is flat: one numpy array holds the root row of every row, and
 ``tids`` is the int64 tid array it was given, uncopied. ``merge`` is its
-only mutator. It unions every group of rows sharing a label by hooking each
-root onto the least root of its groups and pointer jumping until nothing
-changes (in the manner of Shiloach and Vishkin, J. Algorithms 1982), so
-every tree stays of height at most one and ``class_count`` stays exact.
+only mutator. It unions every group of rows sharing a label, in the manner
+of Shiloach and Vishkin (J. Algorithms 1982): each round takes every
+label's least root and stops if every row already has it; if not, it hooks
+each row's root onto that least root and pointer jumps until every tree
+has height at most one. A fresh forest given strictly increasing rows
+needs no rounds: each label's least row becomes its root in one pass.
+Every class's root stays its least row, ``class_count`` stays exact, and a
+merge replaces the root array rather than write into one it handed out.
 """
 
 import numpy as np
@@ -36,23 +40,37 @@ class DisjointSetForest:
     def merge(self, rows, labels):
         """Union the classes of all ``rows`` that share a label.
 
-        ``labels`` are small non-negative integers, one per row.
+        ``labels`` are small non-negative integers, one per row. A merge
+        that changes nothing costs one round: a gather of the rows' roots,
+        one ``np.minimum.at`` and one compare. The one-pass path for a fresh
+        forest needs ``rows`` strictly increasing, as ``np.flatnonzero``
+        gives them.
         """
         if len(rows) == 0:
             return
         comp = self._root
-        heads = comp[rows]
+        n = len(comp)
+        least = np.full(labels.max() + 1, n)
+        if self.class_count == n and (rows[1:] > rows[:-1]).all():
+            np.minimum.at(least, labels, rows)
+            comp = comp.copy()
+            comp[rows] = least[labels]
+            self._root = comp
+            self.class_count = n - len(rows) + int((least < n).sum())
+            return
         while True:
-            least = np.full(labels.max() + 1, len(comp))
-            np.minimum.at(least, labels, comp[heads])
-            hooked = comp.copy()
-            np.minimum.at(hooked, heads, least[labels])
-            hooked = _jump(hooked)
-            if np.array_equal(hooked, comp):
+            heads = comp[rows]
+            np.minimum.at(least, labels, heads)
+            target = least[labels]
+            if np.array_equal(heads, target):
                 break
-            comp = hooked
-        self._root = comp
-        self.class_count = int((comp == np.arange(len(comp))).sum())
+            comp = comp.copy()
+            np.minimum.at(comp, heads, target)
+            comp = _jump(comp)
+            least[:] = n
+        if comp is not self._root:
+            self._root = comp
+            self.class_count = int((comp == np.arange(n)).sum())
 
     def classes(self):
         """Partition of the tids, ordered by minimal member tid."""

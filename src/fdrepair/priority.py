@@ -5,16 +5,18 @@ classes (pilot FDs) go first; the rest are ordered by estimated attribute
 reliability: the more tuples an attribute would need changed under
 independent per-FD majority resolution (Vio), the earlier its FDs run.
 Each FD in this order has a pending flag, and the lowest flagged FD is
-polled next. A disjoint set forest per attribute, over the relation's rows
-in order, records which tuples must end up with equal values; fixing an FD
-merges forest classes and rewrites every multi-valued class with the
-attribute's repair function. When a fix changes an attribute appearing in
-the lhs of an already-processed FD, that FD is flagged again for revision;
-unary FDs whose lhs attribute uses a preservative function skip that step.
-Cyclic unary classes of three or more attributes share one forest, built
-from every FD of the class before the first poll, which is what makes the
-skip sound there (see ``shares_forest``). A closing sweep flags anything
-still violated as a backstop.
+polled next. A disjoint set forest per attribute that some FD enters, over
+the relation's rows in order, records which tuples must end up with equal
+values; fixing an FD merges forest classes and rewrites every multi-valued
+class with the attribute's repair function. When a fix changes an
+attribute appearing in the lhs of an already-processed FD, that FD is
+flagged again for revision; unary FDs whose lhs attribute uses a
+preservative function skip that step. Cyclic unary classes of three or
+more attributes share one forest, built from every FD of the class before
+the first poll, which is what makes the skip sound there (see
+``shares_forest``). Once a revision has been skipped, a closing sweep
+after each drain flags anything still violated as a backstop; without a
+skip every FD provably holds, and no sweep runs.
 
 All of it runs on the relation's integer codes. One grouping primitive,
 ``group_rows``, turns an lhs into group ids, which ``update_dsf`` merges
@@ -401,7 +403,9 @@ def skip_revision_unary(fd, functions):
 
     With one forest per attribute this holds for classes of at most two
     attributes; larger cyclic classes get one shared forest instead (see
-    ``shares_forest``), under which it holds again.
+    ``shares_forest``), under which it holds again. Under NULL-unequal
+    semantics it can still fail, so ``priority_repair`` closes with a sweep
+    of the class's FDs whenever this rule has skipped a revision.
     """
     if len(fd.lhs) != 1:
         return False
@@ -455,11 +459,14 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
             update_dsf(rel, fd, shared, null_equals_null)
         forests = dict.fromkeys(class_attrs, shared)
     else:
-        forests = {a: DisjointSetForest(rel.tid_array()) for a in class_attrs}
+        entered = {fd.rhs for fd in ordered}
+        forests = {a: DisjointSetForest(rel.tid_array())
+                   for a in class_attrs if a in entered}
 
     # Termination guard: every productive pass merges forest classes, so
     # polls are bounded by roughly |fds_i| * (n + 1).
     budget = (len(ordered) + 1) * (len(rel) + 2)
+    skipped = False  # whether a revision was ever skipped
     while True:
         while True in pending:
             budget -= 1
@@ -478,14 +485,18 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
                     if pending[j] or fd.rhs not in other.lhs:
                         continue
                     if skip_unary_revision and skip_revision_unary(other, functions):
+                        skipped = True
                         continue
                     pending[j] = True
                     stats.revisions += 1
         # Closing sweep: the backstop for the unary-revision shortcut, which
-        # flags again anything a skipped revision left violated. Shared
-        # forests make the shortcut sound on cyclic classes of three or more
-        # attributes; NULL-unequal two-attribute classes with pilot FDs can
-        # still need it.
+        # flags again anything a skipped revision left violated. Without a
+        # skip, each FD X -> a was polled after the last write to X, which
+        # left the X groups inside uniform classes of a's forest, and every
+        # later write to a rewrites whole classes of that forest: X -> a
+        # still holds, shared forests included, under either NULL semantics.
+        if not skipped:
+            return stats
         still_bad = [j for j, fd in enumerate(ordered)
                      if violates(rel, fd, null_equals_null)]
         if not still_bad:

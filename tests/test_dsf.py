@@ -112,3 +112,37 @@ def test_matches_quotient_oracle(n, unions, batch):
     # rows share a root exactly when the oracle puts them in one class
     for cls in oracle.classes():
         assert len(set(d.roots()[cls].tolist())) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60),
+       st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=20),
+       st.lists(st.dictionaries(st.integers(0, 59), st.integers(0, 6)),
+                min_size=1, max_size=3))
+def test_increasing_rows_match_quotient_oracle(n, pairs, merges):
+    # rows strictly increasing and distinct, with any labels, as update_dsf
+    # passes them: into a fresh forest when ``pairs`` is empty, else into
+    # one they already merged; each merge leaves earlier root arrays alone
+    d = DisjointSetForest(range(n))
+    oracle = QuotientOracle(range(n))
+    pairs = [(a, b) for a, b in pairs if a < n and b < n]
+    if pairs:
+        merge_pairs(d, pairs)
+    for a, b in pairs:
+        oracle.union(a, b)
+    for labelled in merges:
+        rows = np.array(sorted(r for r in labelled if r < n), dtype=np.intp)
+        labels = np.array([labelled[r] for r in rows.tolist()],
+                          dtype=np.int64)
+        before = d.roots()
+        kept = before.copy()
+        d.merge(rows, labels)
+        assert np.array_equal(before, kept)
+        for label in set(labels.tolist()):
+            group = rows[labels == label].tolist()
+            for r in group[1:]:
+                oracle.union(group[0], r)
+        assert d.classes() == oracle.classes()
+        assert d.class_count == len(oracle.classes())
+        for cls in oracle.classes():  # every class's root is its least row
+            assert d.roots()[cls].tolist() == [cls[0]] * len(cls)

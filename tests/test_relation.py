@@ -108,7 +108,9 @@ def test_load_csv_duplicate_tid_across_chunks(tmp_path):
 @pytest.mark.parametrize("cell", ["x", "1.5", str(2**63), str(-2**63 - 1)])
 def test_load_csv_bad_tid_names_its_line(tmp_path, cell):
     p = tmp_path / "d.csv"
-    p.write_text("tid,a\n1,x\n" + "2,x\n" * 4096 + "%s,y\n" % cell)
+    # distinct tids, so that the malformed one is the file's first fault
+    p.write_text("tid,a\n" + "".join("%d,x\n" % t for t in range(1, 4098))
+                 + "%s,y\n" % cell)
     with pytest.raises(ValueError, match=r"d\.csv:4099: malformed tid"):
         load_csv(p, tid_column="tid")
 
@@ -163,12 +165,16 @@ def test_load_csv_checks_every_row_width(tmp_path, body, message):
 @pytest.mark.parametrize("body, message", [
     ("q,1\n1,2,3\n", "2: malformed tid 'q'"),
     ("1,2,3\nq,1\n", "2: expected 2 fields, got 3"),
+    ("1,x\n1,y\n2,3,4\n", "3: duplicate tid 1"),
+    ("1,x\n2,3,4\n1,y\n", "3: expected 2 fields, got 3"),
+    ("1,x\n1,y\nq,z\n", "3: duplicate tid 1"),
+    ("1,x\nq,z\n1,y\n", "3: malformed tid 'q'"),
 ])
 @pytest.mark.parametrize("chunk_rows", [1, 2, _CHUNK_ROWS])
 def test_load_csv_names_first_bad_record(tmp_path, body, message,
                                          chunk_rows):
-    # a ragged row and a malformed tid: the one earlier in the file is
-    # reported, whether or not both fall in one chunk
+    # two of a ragged row, a malformed tid and a repeated tid: the one
+    # earlier in the file is reported, whether or not both fall in one chunk
     p = tmp_path / "d.csv"
     p.write_text("tid,a\n" + body)
     with pytest.MonkeyPatch.context() as mp:
@@ -245,21 +251,27 @@ def test_load_csv_matches_csv_reader(tmp_path_factory, grid, chunk_rows):
     def line_of(i):  # where data row i starts, counted without csv.reader
         return len("".join(lines[:i + 1]).splitlines()) + 1
     tid_at = header.index("tid") if has_tid else None
-    ragged = [i for i, r in enumerate(parsed) if len(r) != len(header)]
-    # two ragged mutations of one row can cancel out and leave the appended
-    # "a" in a last tid column of a grid that is otherwise well formed
-    malformed = [i for i, r in enumerate(parsed) if has_tid and not ragged
-                 and not r[tid_at].lstrip("-").isdigit()]
-    tids = ([int(r[tid_at]) for r in parsed]
-            if has_tid and not (ragged or malformed)
-            else list(range(1, len(parsed) + 1)))
-    repeats = [i for i, t in enumerate(tids) if t in tids[:i]]
+    # the first ragged row, malformed tid (two ragged mutations of one row
+    # can cancel out and leave the appended "a" in a last tid column) or
+    # repeated tid is the error
+    tids, fault = [], None
+    for i, r in enumerate(parsed):
+        if len(r) != len(header):
+            fault = i, "expected"
+        elif not has_tid:
+            tids.append(i + 1)
+        elif not r[tid_at].lstrip("-").isdigit():
+            fault = i, "malformed tid"
+        elif int(r[tid_at]) in tids:
+            fault = i, "duplicate"
+        else:
+            tids.append(int(r[tid_at]))
+        if fault:
+            break
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relation, "_CHUNK_ROWS", chunk_rows)
-        if ragged or malformed or repeats:
-            i = (ragged or malformed or repeats)[0]
-            error = ("expected" if ragged else
-                     "malformed tid" if malformed else "duplicate")
+        if fault:
+            i, error = fault
             with pytest.raises(ValueError, match=r"g\.csv:%d: %s" % (
                     line_of(i), error)):
                 load_csv(p, null_token=NULL_TOKEN,
