@@ -1,8 +1,8 @@
 """Walk through a repair of a small hospital excerpt, step by step.
 
 Shows the pipeline stages individually: minimal cover, attribute
-partition, per-attribute change estimates, and the final repair with its
-change log. Run with: python3 demos/hospital_walkthrough.py
+partition, per-attribute change estimates, and the final repair with the
+cells it changed. Run with: python3 demos/hospital_walkthrough.py
 """
 
 import random
@@ -48,8 +48,8 @@ for a in order:
           % (a, sizes[a], sorted(vio(rel, a, cover, random.Random(0)))))
 
 out = swipe(rel, fds, seed=0)
-print("\nchange log:")
-for tid, attr, old, new in out.change_log:
+print("\ncells changed (%d):" % out.cells_changed)
+for tid, attr, old, new in out.changes():
     print("  tid %d  %-13s %r -> %r" % (tid, attr, old, new))
 
 print("\nrepaired rows:")

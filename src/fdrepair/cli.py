@@ -1,18 +1,18 @@
-"""Command-line interface: repair, partition, estimate, evaluate, generate
-and bench subcommands over CSV data and plain-text FD files."""
+"""Command-line interface: repair, partition, evaluate and generate
+subcommands over CSV data and plain-text FD files. ``bench_cells`` times
+repairs over generated instances for the scaling demo and criterion 10."""
 
 import argparse
 import json
-import random
 import statistics
 import sys
 import time
 
 from .datagen import GenConfig, generate
 from .evaluate import evaluate
-from .fds import load_fds, minimal_cover, rule_lines, save_fds
+from .fds import load_fds, rule_lines, save_fds
 from .partition import fds_entering_at
-from .priority import estimate_priority, pilot_fds
+from .priority import pilot_fds
 from .relation import load_csv, save_csv
 from .swipe import plan, swipe
 
@@ -56,7 +56,7 @@ def _class_report(outcome):
         "vio_sizes": dict(c.stats.vio_sizes),
         "revisions": c.stats.revisions,
         "sweep_reenqueues": c.stats.sweep_reenqueues,
-        "cells_changed": c.stats.cells_changed,
+        "cells_changed": c.cells_changed,
         "duration_s": c.duration,
     } for c in outcome.classes]
 
@@ -100,17 +100,6 @@ def cmd_partition(args):
             print("  non-pilot: %s" % fd)
     if non_rep:
         print("non-repairable: %s" % ", ".join(non_rep))
-    return 0
-
-
-def cmd_estimate(args):
-    rel, fds = _load_inputs(args)
-    cover = minimal_cover(fds)
-    rng = random.Random(args.seed)
-    attrs = sorted({fd.rhs for fd in cover}, key=rel.schema.index)
-    order, sizes = estimate_priority(rel, attrs, cover, rng)
-    for a in order:
-        print("%s\t%d" % (a, sizes[a]))
     return 0
 
 
@@ -159,12 +148,6 @@ def bench_cells(rows_list, attrs_list, repetitions, seed):
     return cells
 
 
-def cmd_bench(args):
-    cells = bench_cells(args.rows, args.attrs, args.repetitions, args.seed)
-    print(json.dumps(cells, indent=2))
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fdrepair",
@@ -199,13 +182,6 @@ def build_parser():
     add_io(p)
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("estimate", help="estimate per-attribute change counts")
-    p.add_argument("--data", required=True)
-    p.add_argument("--fds", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    add_io(p)
-    p.set_defaults(func=cmd_estimate)
-
     p = sub.add_parser("evaluate", help="score a repair against a gold standard")
     p.add_argument("--dirty", required=True)
     p.add_argument("--repaired", required=True)
@@ -222,13 +198,6 @@ def build_parser():
     p.add_argument("--out-data", required=True)
     p.add_argument("--out-fds", required=True)
     p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("bench", help="time repairs over synthetic workloads")
-    p.add_argument("--rows", type=int, nargs="+", required=True)
-    p.add_argument("--attrs", type=int, nargs="+", required=True)
-    p.add_argument("--repetitions", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -191,6 +191,14 @@ def load_fds(path, schema=None):
 
 
 def save_fds(fds, path):
+    """Write ``fds`` one per line. Raises ValueError, before writing, for
+    an FD whose line would read back as another FD or as none, as when an
+    attribute name holds ``#``, ``,`` or ``->``."""
+    for fd in fds:
+        if parse_fds(str(fd)) != [fd]:
+            raise ValueError("FD %r cannot be written to an FD file: its "
+                             "line would not read back as the same FD"
+                             % str(fd))
     with open(path, "w", encoding="utf-8") as fh:
         for fd in fds:
             fh.write(str(fd) + "\n")

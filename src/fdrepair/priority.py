@@ -38,9 +38,7 @@ bag. Results and the seeded rng stream are those of a row-by-row run.
 """
 
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -67,53 +65,8 @@ class RepairStats:
     polls_per_fd: Counter = field(default_factory=Counter)
     revisions: int = 0  # closing-sweep flags included
     sweep_reenqueues: int = 0  # FDs the closing sweep flagged again
-    cells_changed: int = 0
     vio_sizes: dict = field(default_factory=dict)
     priority: list = field(default_factory=list)
-
-
-class ChangeLog(Sequence):
-    """The (tid, attribute, old value, new value) records of a repair, in the
-    order the cells changed. A fix records its changed cells as arrays: their
-    tids, old codes and class numbers, and per class its least tid and new
-    code. A fix's cells are only sorted, by their class's least tid and then
-    by tid, and built into tuples when the log is read."""
-
-    def __init__(self):
-        self._parts = []  # (tids, attribute, values, old, class, least, new)
-        self._records = None
-
-    def record(self, tids, attr, values, old, cls, least, new):
-        self._parts.append((tids, attr, values, old, cls, least, new))
-        self._records = None
-
-    def _decoded(self):
-        if self._records is None:
-            self._records = []
-            for tids, attr, values, old, cls, least, new in self._parts:
-                order = np.lexsort((tids, least[cls]))
-                self._records.extend(zip(
-                    tids[order].tolist(), repeat(attr),
-                    map(values.__getitem__, old[order].tolist()),
-                    map(values.__getitem__, new[cls[order]].tolist())))
-        return self._records
-
-    def __len__(self):
-        return sum(len(part[0]) for part in self._parts)
-
-    def __getitem__(self, i):
-        return self._decoded()[i]
-
-    def __iter__(self):
-        return iter(self._decoded())
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self._decoded() == list(other)
-
-    def __repr__(self):
-        return repr(self._decoded())
 
 
 def _dense(ids):
@@ -311,8 +264,7 @@ def _vote(rel, fd, fn, rng, rows, classes, old, tids):
     equal weight, classes in order of their least tid: ``fn`` applies its
     own tie rule and makes the draw it would make on the whole bag.
 
-    Returns each row's dense class index, each class's least tid, and each
-    row's new code.
+    Returns the number of classes and each row's new code.
     """
     weights = None
     if fn.vote_exponent:
@@ -320,14 +272,14 @@ def _vote(rel, fd, fn, rng, rows, classes, old, tids):
         weights = (len(rel.schema) - nulls) ** fn.vote_exponent
     row_class, n_top, winner, (top_class, top_code) = _tally(
         classes, old, weights)
-    least = _group_min(row_class, tids, len(n_top))
     tied = n_top[top_class] > 1
     if tied.any():
+        least = _group_min(row_class, tids, len(n_top))
         order = np.argsort(least[top_class[tied]], kind="stable")
         cls, code = top_class[tied][order], top_code[tied][order]
         winner[cls] = _call_per_class(rel, fd, fn, rng, least[cls], code,
                                       np.zeros(len(cls), dtype=np.int64))
-    return row_class, least, winner[row_class]
+    return len(n_top), winner[row_class]
 
 
 def _call_per_class(rel, fd, fn, rng, least, codes, null_counts):
@@ -345,11 +297,10 @@ def _call_per_class(rel, fd, fn, rng, least, codes, null_counts):
     return new
 
 
-def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
-        null_equals_null=True):
+def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
     """Fix violations of ``fd``: after updating the forest, rewrite every
-    class showing more than one rhs value with the repair function.
-    Returns the number of violated classes.
+    class showing more than one rhs value with the repair function, in
+    place. Returns the number of violated classes.
 
     A voting function (``fn.vote_exponent`` set) votes on codes over all
     classes at once (``_vote``), summing weights per (class, code) pair. A
@@ -360,8 +311,7 @@ def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
     once each at equal weight, which settles it as the whole bag would: the
     same value and the same rng draw. Any other function is called once per
     class on its whole bag, values and NULL counts in tid order. Calls go
-    in order of the classes' least tids. The change log lists classes by
-    least tid and cells by tid.
+    in order of the classes' least tids.
     """
     update_dsf(rel, fd, dsf, null_equals_null)
     codes = rel.codes(fd.rhs)
@@ -380,21 +330,8 @@ def fix(rel, fd, dsf, fn, rng, stats=None, change_log=None,
             rel, fd, fn, rng, least[row_class][order], old[order],
             _null_counts(rel, rows[order]))
     else:
-        row_class, least, new = _vote(rel, fd, fn, rng, rows, comp[rows],
-                                      old, tids)
-    n_classes = len(least)
-    changed = np.flatnonzero(new != old)
-    if change_log is not None:
-        # A class's cells all take one new code, so the log keeps the new
-        # code and least tid per class and a small class number per cell.
-        class_new = np.empty(n_classes, dtype=new.dtype)
-        class_new[row_class] = new
-        cls = row_class[changed].astype(np.min_scalar_type(n_classes))
-        change_log.record(tids[changed], fd.rhs, rel.values(fd.rhs),
-                          old[changed], cls, least, class_new)
-    if stats is not None:
-        stats.cells_changed += len(changed)
-    codes[rows[changed]] = new[changed]
+        n_classes, new = _vote(rel, fd, fn, rng, rows, comp[rows], old, tids)
+    codes[rows] = new
     return n_classes
 
 
@@ -436,7 +373,7 @@ def shares_forest(class_attrs, fds_i, functions):
 
 
 def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
-                    change_log=None, priority=None, null_equals_null=True,
+                    priority=None, null_equals_null=True,
                     skip_unary_revision=True):
     """Repair one partition class in place (mutates ``rel``).
 
@@ -478,7 +415,7 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
             fd = ordered[i]
             stats.polls_per_fd[fd] += 1
             fixes = fix(rel, fd, forests[fd.rhs], functions[fd.rhs], rng,
-                        stats, change_log, null_equals_null)
+                        null_equals_null)
             stats.fixes_per_fd[fd] += fixes
             if fixes:
                 for j, other in enumerate(ordered):

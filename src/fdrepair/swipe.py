@@ -1,20 +1,24 @@
 """End-to-end repair: minimal cover, induced partition, class-by-class
-priority repair, change log, and a final satisfaction sweep.
+priority repair and a final satisfaction sweep.
 
 The input relation is never mutated; the repaired copy satisfies every
 input FD on return (checked by a full violation sweep), and attributes
-outside the cover are byte-identical to the input.
+outside the cover are byte-identical to the input. A repair's changes are
+the cells in which the copy differs from the input, counted per class as
+each class is repaired and decoded when read (``RepairOutcome.changes``).
 """
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .fds import minimal_cover, violates
 from .partition import (build_preorder, induced_partition, fds_entering_at,
                         check_forward_repairable)
-from .priority import (ChangeLog, RepairInvariantError, RepairStats,
-                       priority_repair)
+from .priority import RepairInvariantError, RepairStats, priority_repair
 from .relation import SchemaError
 from .repair_functions import get_function, RepairFunction
 
@@ -24,12 +28,13 @@ class ClassOutcome:
     attributes: list
     stats: RepairStats
     duration: float
+    cells_changed: int  # cells of its attributes that differ from the input
 
 
 @dataclass
 class RepairOutcome:
-    repaired: object  # Relation
-    change_log: ChangeLog  # (tid, attribute, old, new) records
+    original: object  # Relation, the input
+    repaired: object  # Relation, a copy sharing the input's dictionaries
     classes: list  # ClassOutcome per partition class, in repair order
     partition: list  # attribute lists, natural order
     non_repairable: list  # schema attributes absent from the cover
@@ -38,7 +43,27 @@ class RepairOutcome:
 
     @property
     def cells_changed(self):
-        return len(self.change_log)
+        """Cells in which the repair differs from the input. Classes
+        partition the attributes the repair may write, so this is the sum
+        of their counts."""
+        return sum(c.cells_changed for c in self.classes)
+
+    def changes(self):
+        """The (tid, attribute, old, new) records of the cells in which the
+        repair differs from the input, both as they stand when read:
+        attributes in schema order, and each attribute's cells in row
+        order."""
+        tids = self.original.tid_array()
+        records = []
+        for a in self.original.schema.attributes:
+            old, new = self.original.codes(a), self.repaired.codes(a)
+            rows = np.flatnonzero(old != new)
+            values = self.repaired.values(a)
+            records.extend(zip(
+                tids[rows].tolist(), repeat(a),
+                map(values.__getitem__, old[rows].tolist()),
+                map(values.__getitem__, new[rows].tolist())))
+        return records
 
 
 def resolve_functions(schema, repair_fn="mv", fn_map=None):
@@ -101,26 +126,29 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
                              % (i, ", ".join(missing)))
 
     repaired = rel.copy()
-    change_log = ChangeLog()
     outcomes = []
     for i, cls in enumerate(part.classes, start=1):
         fds_i = fds_entering_at(cover, part, i)
         tc = time.perf_counter()
         stats = priority_repair(
             repaired, fds_i, cls, functions, rng,
-            change_log=change_log,
             priority=(priority_override or {}).get(i),
             null_equals_null=null_equals_null,
             skip_unary_revision=skip_unary_revision)
-        outcomes.append(ClassOutcome(list(cls), stats, time.perf_counter() - tc))
+        # only this class's FDs write its attributes, and no later class
+        # writes them
+        changed = sum(int(np.count_nonzero(repaired.codes(a) != rel.codes(a)))
+                      for a in cls)
+        outcomes.append(ClassOutcome(list(cls), stats,
+                                     time.perf_counter() - tc, changed))
 
     for fd in fds:
         if violates(repaired, fd, null_equals_null):
             raise RepairInvariantError("repair left %s violated" % fd)
 
     return RepairOutcome(
+        original=rel,
         repaired=repaired,
-        change_log=change_log,
         classes=outcomes,
         partition=[list(c) for c in part.classes],
         non_repairable=non_repairable,

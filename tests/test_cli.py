@@ -139,19 +139,6 @@ def test_partition_listing(workdir, capsys):
     assert any(line.startswith("  non-pilot:") for line in expected)
 
 
-def test_estimate_listing(workdir, capsys):
-    rc = main(["estimate", "--data", str(workdir / "data.csv"),
-               "--fds", str(workdir / "rules.txt"), "--seed", "0"])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines
-    for line in lines:
-        attr, count = line.split("\t")
-        assert int(count) >= 0
-    counts = [int(line.split("\t")[1]) for line in lines]
-    assert counts == sorted(counts, reverse=True)
-
-
 def test_evaluate_round_trip(workdir, capsys):
     dirty = workdir / "data.csv"
     repaired = workdir / "repaired.csv"
@@ -168,14 +155,22 @@ def test_evaluate_round_trip(workdir, capsys):
     assert "precision=1.000" in capsys.readouterr().out
 
 
-def test_bench_json(workdir, capsys):
-    rc = main(["bench", "--rows", "50", "--attrs", "3", "--repetitions", "2",
-               "--seed", "0"])
-    assert rc == 0
-    cells = json.loads(capsys.readouterr().out)
-    assert cells == [{"rows": 50, "attrs": 3, "repetitions": 2,
-                      "mean_s": pytest.approx(cells[0]["mean_s"])}]
-    assert cells[0]["mean_s"] > 0
+def test_report_counts_the_cells_evaluate_counts(workdir, capsys):
+    # cells_changed, in total and summed over classes, is the repair's net
+    # difference from its input, which evaluate reports as repaired_cells
+    dirty, repaired, report = (workdir / n for n in
+                               ("data.csv", "repaired.csv", "report.json"))
+    assert main(["repair", "--data", str(dirty),
+                 "--fds", str(workdir / "rules.txt"), "--out", str(repaired),
+                 "--report", str(report), "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--dirty", str(dirty), "--repaired",
+                 str(repaired), "--gold", str(dirty)]) == 0
+    quality = json.loads(capsys.readouterr().out.splitlines()[0])
+    saved = json.loads(report.read_text())
+    assert saved["cells_changed"] == quality["repaired_cells"] > 0
+    assert sum(c["cells_changed"] for c in saved["classes"]) == \
+        saved["cells_changed"]
 
 
 def test_missing_file_exits_nonzero(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdrepair import (FD, Relation, Schema, SchemaError, attribute_closure,
-                      implies, minimal_cover, parse_fd, parse_fds, violates)
+                      implies, load_fds, minimal_cover, parse_fd, parse_fds,
+                      save_fds, violates)
 from fdrepair.fds import mixed_rows
 
 
@@ -186,6 +187,23 @@ def test_parse_fd_basic():
 def test_parse_fds_comments_and_blanks():
     text = "# header\na -> b\n\nb,c -> d  # inline\n"
     assert parse_fds(text) == [fd("a", "b"), fd(["b", "c"], "d")]
+
+
+def test_save_fds_round_trips(tmp_path):
+    fds = [fd(["hospital name", "city"], "zip code"), fd("a", "b")]
+    save_fds(fds, tmp_path / "f.txt")
+    assert load_fds(tmp_path / "f.txt") == fds
+
+
+@pytest.mark.parametrize("bad", [fd("#provider", "hospital name"),
+                                 fd("a,b", "c")])
+def test_save_fds_refuses_an_fd_that_reads_back_otherwise(bad, tmp_path):
+    # '#provider -> hospital name' would read back as a comment, and
+    # 'a,b -> c' with the lhs {a, b}
+    path = tmp_path / "f.txt"
+    with pytest.raises(ValueError, match="FD '%s'" % bad):
+        save_fds([fd("a", "b"), bad], path)
+    assert not path.exists()
 
 
 def test_parse_fd_rejects_malformed():

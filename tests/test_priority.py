@@ -12,7 +12,7 @@ from fdrepair import (FD, DisjointSetForest, Relation, Schema,
                       update_dsf, vio, vio_fd, violates)
 import fdrepair.priority as engine
 from fdrepair.partition import fds_entering_at
-from fdrepair.priority import _GRID_PER_ROW, ChangeLog, RepairStats, _tally
+from fdrepair.priority import _GRID_PER_ROW, RepairStats, _tally
 from fdrepair.repair_functions import BUILTINS, MV, WV, RepairFunction
 from fdrepair.swipe import plan
 
@@ -199,7 +199,7 @@ class RowUnionFind:
 
 def fix_reference(rel, rows, fd, forest, fn, rng, null_equals_null):
     """Row-by-row fix on ``rows`` (mutated) with single unions in
-    ``forest``, a ``RowUnionFind``; returns (fixes, change log)."""
+    ``forest``, a ``RowUnionFind``; returns the number of fixes."""
     lhs = rel.schema.indices(sorted(fd.lhs))
     rhs = rel.schema.index(fd.rhs)
     first = {}
@@ -208,7 +208,7 @@ def fix_reference(rel, rows, fd, forest, fn, rng, null_equals_null):
         if null_equals_null or None not in key:
             forest.union(tid, first.setdefault(key, tid))
     by_tid = dict(zip(rel.tids, rows))
-    fixes, log = 0, []
+    fixes = 0
     for cls in forest.classes():
         members = [by_tid[t] for t in cls]
         values = [row[rhs] for row in members]
@@ -216,12 +216,10 @@ def fix_reference(rel, rows, fd, forest, fn, rng, null_equals_null):
             continue
         nulls = [sum(c is None for c in row) for row in members]
         v_fix = fn(values, nulls, len(rel.schema), rng)
-        for tid, row in zip(cls, members):
-            if row[rhs] != v_fix:
-                log.append((tid, fd.rhs, row[rhs], v_fix))
-                row[rhs] = v_fix
+        for row in members:
+            row[rhs] = v_fix
         fixes += 1
-    return fixes, log
+    return fixes
 
 
 # A user-supplied, non-voting function, called once per class: its pick
@@ -261,11 +259,10 @@ def test_vio_and_fix_match_row_loop_reference(rows, fn, null_equals_null,
     forest, ref_forest = DisjointSetForest(tids), RowUnionFind(tids)
     for fd in (FD(frozenset("a"), "c"), FD(frozenset("b"), "c")):
         got_rng, ref_rng = random.Random(seed), random.Random(seed)
-        log = ChangeLog()
-        fixes = fix(rel, fd, forest, fn, got_rng, change_log=log,
+        fixes = fix(rel, fd, forest, fn, got_rng,
                     null_equals_null=null_equals_null)
-        assert (fixes, log) == fix_reference(rel, ref_rows, fd, ref_forest,
-                                             fn, ref_rng, null_equals_null)
+        assert fixes == fix_reference(rel, ref_rows, fd, ref_forest, fn,
+                                      ref_rng, null_equals_null)
         assert rel.rows == ref_rows
         assert got_rng.getstate() == ref_rng.getstate()
         assert forest.classes() == ref_forest.classes()
@@ -328,12 +325,11 @@ def test_array_vote_matches_per_class_vote(bags, null_key, fn, rng):
     fd = FD(frozenset("k"), "v")
     seed = rng.randrange(1000)
     got_rng, ref_rng = random.Random(seed), random.Random(seed)
-    log, handed = ChangeLog(), []
+    handed = []
     fixes = fix(rel, fd, DisjointSetForest(tids), recording(fn, handed),
-                got_rng, change_log=log)
-    ref = fix_reference(rel, ref_rows, fd, RowUnionFind(tids), fn, ref_rng,
-                        True)
-    assert (fixes, log) == ref
+                got_rng)
+    assert fixes == fix_reference(rel, ref_rows, fd, RowUnionFind(tids), fn,
+                                  ref_rng, True)
     assert rel.rows == ref_rows
     assert got_rng.getstate() == ref_rng.getstate()
     assert all(len(set(bag)) == len(bag) > 1 for bag in handed)
