@@ -1,4 +1,4 @@
-"""Golden outputs: the repaired CSV bytes and the change log of fixed-seed
+"""Golden outputs: the repaired CSV bytes and the change set of fixed-seed
 repairs, pinned by sha256.
 
 Any engine change that alters one output byte for a given seed fails here.
@@ -47,31 +47,31 @@ CASES = [
 ]
 
 GOLDEN = [
-    "csv:baa8fbb566dd6aff log:5a38d5c7c039721c",
-    "csv:8ff7f48d8bc8c3f3 log:438086340f1f0c62",
-    "csv:7e31c809ca2f3847 log:69686388ad0f9243",
-    "csv:2c9f00e82fb132ac log:3736971417f631d4",
-    "csv:b17e04d60df4c4f4 log:e69d1dd118dc72d8",
-    "csv:8709d22d82b4e475 log:1cb801d48fca4ccf",
-    "csv:12ce79e85b1ff698 log:785a0213a4c268b9",
-    "csv:f14b1f6a26aad7e7 log:06778023c9bd6751",
-    "csv:b4cf9b12442d6906 log:662838c6ca33cad4",
-    "csv:0e13281cf3635af6 log:f76c123218392eb1",
-    "csv:fd0807e6c2356496 log:8d7fa87e29afa93f",
-    "csv:21371b97f92b2864 log:17c297349319b20d",
-    "csv:926643dd176a8a83 log:77d80ecd8a9f17a5",
-    "csv:d2f43776332d22e6 log:b32c6aade745ddcf",
-    "csv:2178f12f324c702e log:12f4cc2e1c4c3213",
-    "csv:6cffbea0a1551aff log:63588c41e4a46861",
-    "csv:1d535cd8aa0c890a log:95ee43f60c2feeb5",
-    "csv:2b6a774238713c87 log:0267b966a2e5be06",
-    "csv:d960e676bcb37d4e log:89faef0c82951db0",
-    "csv:beb5cb844909accb log:5644ec02b7a1e1c0",
+    "csv:baa8fbb566dd6aff log:4d610831017686ff",
+    "csv:8ff7f48d8bc8c3f3 log:8d83e9e5d4770ca7",
+    "csv:7e31c809ca2f3847 log:28339f50c31e2910",
+    "csv:2c9f00e82fb132ac log:ab515f6a9fb381b2",
+    "csv:b17e04d60df4c4f4 log:4b64cdfa345c96ac",
+    "csv:8709d22d82b4e475 log:b14cbf2ca3e855fc",
+    "csv:12ce79e85b1ff698 log:155bc8082a6f3e84",
+    "csv:f14b1f6a26aad7e7 log:2395f092a5f18a5a",
+    "csv:b4cf9b12442d6906 log:391396d6f557c230",
+    "csv:0e13281cf3635af6 log:766b087420965139",
+    "csv:fd0807e6c2356496 log:f304417d108e3d98",
+    "csv:21371b97f92b2864 log:cf3dee355894ff08",
+    "csv:926643dd176a8a83 log:d71a152ad03a8869",
+    "csv:d2f43776332d22e6 log:a38b85cab4f1f63d",
+    "csv:2178f12f324c702e log:1230e67eb195da94",
+    "csv:6cffbea0a1551aff log:2fea3b0694e7ead6",
+    "csv:1d535cd8aa0c890a log:2fd3529cd7531d8d",
+    "csv:2b6a774238713c87 log:619bb9fd71ff1ac9",
+    "csv:d960e676bcb37d4e log:518e25d9cc6a89fc",
+    "csv:beb5cb844909accb log:b6297e4c3b98da0e",
 ]
 
 # the case whose relation is reloaded through a shuffled --tid-column
 SHUFFLED_CASE = 7
-SHUFFLED_GOLDEN = "csv:e5e0cf98f98c6a68 log:c920f5a3e774b751"
+SHUFFLED_GOLDEN = "csv:e5e0cf98f98c6a68 log:d0d890ccf0f819b8"
 
 
 def instance(rows, attrs, seed, null_rate):
@@ -101,7 +101,7 @@ def repair_digest(rel, fds, fn, null_equals_null, seed, tmp_dir,
     save_csv(out.repaired, path, tid_column=tid_column)
     with open(path, "rb") as fh:
         csv_digest = sha(fh.read())
-    return "csv:%s log:%s" % (csv_digest, sha(repr(out.change_log).encode()))
+    return "csv:%s log:%s" % (csv_digest, sha(repr(out.changes()).encode()))
 
 
 def case_digest(i, tmp_dir):
