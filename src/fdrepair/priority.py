@@ -29,12 +29,14 @@ numbers groups from a presence mask rather than a sort (``_dense``) and
 has two paths, chosen by size alone: with at most ``_GRID_PER_ROW``
 (group, code) cells per row it sums on the whole grid with
 ``np.bincount``; past that it sorts the pairs that occur with
-``np.unique``. Vio settles the groups whose top is tied in one pass
-(``_settle``): it draws among all tied values, NULL last, groups in order
-of their first row. The vote hands a class whose top is tied to the
-function with just its tied values, so the function's own tie rule draws;
-``max`` and user-supplied functions are called once per class on the whole
-bag. Results and the seeded rng stream are those of a row-by-row run.
+``np.unique``. A group whose top is tied is settled the same way for both,
+by one per-group call (``_majority``): its tied values are handed to a
+picker, groups in order of their least key. Vio's picker (``_vio_pick``)
+draws among all tied values, NULL last, groups in order of their first
+row; the vote hands them to the repair function, whose own tie rule draws,
+classes in order of their least tid. ``max`` and user-supplied functions
+are called once per class on the whole bag. Results and the seeded rng
+stream are those of a row-by-row run.
 """
 
 from collections import Counter
@@ -133,47 +135,19 @@ def _group_min(row_group, keys, n_groups):
     return least
 
 
-def _settle(rng, values, groups, codes, order_key):
-    """Settle tied (group, code) pairs, groups in ascending ``order_key``
-    (distinct per group): a group with one pair takes its code, the others
-    draw by ``rng.choice`` among their codes sorted by ``values``, NULL
-    last. Returns the groups and their codes.
-
-    ``rng.choice(range(n))`` draws the bits ``rng.choice`` of any n values
-    does. The distinct tied values are ranked once, across groups; values
-    that compare only within a group, as in a column mixing ``int`` and
-    ``str``, fall back to one sort of the pairs.
-    """
-    distinct, pair_code = np.unique(codes, return_inverse=True)
-    try:
-        by_value = sorted(range(len(distinct)), key=lambda i: (
-            distinct[i] == NULL, values[distinct[i]]))
-    except TypeError:
-        key, pairs = order_key[groups].tolist(), codes.tolist()
-        order = np.array(sorted(range(len(pairs)), key=lambda i: (
-            key[i], pairs[i] == NULL, values[pairs[i]])), dtype=np.intp)
-    else:
-        rank = np.empty(len(distinct), dtype=np.intp)
-        rank[by_value] = np.arange(len(distinct))
-        order = np.lexsort((rank[pair_code], order_key[groups]))
-    groups, codes = groups[order], codes[order]
-    starts = np.flatnonzero(np.diff(groups, prepend=-1))
-    counts = np.diff(starts, append=len(groups))
-    many = counts > 1
-    pick = starts.copy()
-    draws = map(rng.choice, map(range, counts[many].tolist()))
-    pick[many] += np.fromiter(draws, dtype=np.intp, count=int(many.sum()))
-    return groups[starts], codes[pick]
+def _vio_pick(values, null_counts, width, rng):
+    """Vio's tie rule: a seeded draw among the tied values, NULL last."""
+    return rng.choice(sorted(values, key=lambda v: (v is None, v)))
 
 
 def _minority_rows(rel, fd, rng, null_equals_null):
     """Mask of the rows whose rhs value differs from their lhs group's
     majority value.
 
-    Several values sharing a group's top count are settled by ``_settle``,
-    NULL among them, groups in order of their first row. Rows that may not
-    group (NULL keys under NULL-unequal semantics) are groups of one and
-    never differ.
+    Several values sharing a group's top count are settled by
+    ``_vio_pick``, NULL among them, groups in order of their first row.
+    Rows that may not group (NULL keys under NULL-unequal semantics) are
+    groups of one and never differ.
     """
     minority = np.zeros(len(rel), dtype=bool)
     ids, may = group_rows(rel, sorted(fd.lhs), null_equals_null)
@@ -181,14 +155,9 @@ def _minority_rows(rel, fd, rng, null_equals_null):
     if not len(rows):
         return minority
     codes = rel.codes(fd.rhs)[rows]
-    row_group, n_top, winner, (top_group, top_code) = _tally(ids[rows], codes)
-    tied = n_top[top_group] > 1
-    if tied.any():
-        first = _group_min(row_group, np.arange(len(rows)), len(n_top))
-        groups, won = _settle(rng, rel.values(fd.rhs), top_group[tied],
-                              top_code[tied], first)
-        winner[groups] = won
-    minority[rows] = codes != winner[row_group]
+    _, winner = _majority(rel, fd, _vio_pick, rng, ids[rows], codes,
+                          np.arange(len(rows)))
+    minority[rows] = codes != winner
     return minority
 
 
@@ -256,45 +225,42 @@ def _null_counts(rel, rows):
                for a in rel.schema.attributes)
 
 
-def _vote(rel, fd, fn, rng, rows, classes, old, tids):
-    """Vote as ``fn``, a voting function, on the rhs codes ``old`` of
-    ``rows``: its weights are summed per (class, code) pair over all classes
-    at once, and a class whose top is one code takes it. A class whose top
-    is tied is handed to ``fn`` with just its tied values, once each at
-    equal weight, classes in order of their least tid: ``fn`` applies its
-    own tie rule and makes the draw it would make on the whole bag.
+def _majority(rel, fd, fn, rng, groups, codes, keys, weights=None):
+    """Each group's majority of the rhs ``codes``, as ``fn`` settles ties.
 
-    Returns the number of classes and each row's new code.
+    ``weights`` (1 per row by default) are summed per (group, code) pair
+    over all groups at once, and a group whose top is one code takes it. A
+    group whose top is tied is handed to ``fn`` with just its tied values,
+    once each at zero NULLs, groups in order of their least ``keys``: ``fn``
+    applies its own tie rule and makes the draw it would make on the whole
+    bag.
+
+    Returns the number of groups and each row's new code.
     """
-    weights = None
-    if fn.vote_exponent:
-        nulls = _null_counts(rel, rows)
-        weights = (len(rel.schema) - nulls) ** fn.vote_exponent
-    row_class, n_top, winner, (top_class, top_code) = _tally(
-        classes, old, weights)
-    tied = n_top[top_class] > 1
+    row_group, n_top, winner, (top_group, top_code) = _tally(
+        groups, codes, weights)
+    tied = n_top[top_group] > 1
     if tied.any():
-        least = _group_min(row_class, tids, len(n_top))
-        order = np.argsort(least[top_class[tied]], kind="stable")
-        cls, code = top_class[tied][order], top_code[tied][order]
-        winner[cls] = _call_per_class(rel, fd, fn, rng, least[cls], code,
-                                      np.zeros(len(cls), dtype=np.int64))
-    return len(n_top), winner[row_class]
+        least = _group_min(row_group, keys, len(n_top))
+        order = np.argsort(least[top_group[tied]], kind="stable")
+        grp, code = top_group[tied][order], top_code[tied][order]
+        winner[grp] = _call_per_class(rel, fd, fn, rng, least[grp], code,
+                                      np.zeros(len(grp), dtype=np.int64))
+    return len(n_top), winner[row_group]
 
 
 def _call_per_class(rel, fd, fn, rng, least, codes, null_counts):
     """Call ``fn`` once per class, a run of entries sharing a ``least``
-    tid, on the values of its rhs ``codes`` and its ``null_counts``; the
-    entries come sorted by least tid. Returns each entry's new code."""
+    key, on the values of its rhs ``codes`` and its ``null_counts``; the
+    entries come sorted by least key. Returns each entry's new code."""
     bounds = [0, *(np.flatnonzero(np.diff(least)) + 1).tolist(), len(least)]
     bag = list(map(rel.values(fd.rhs).__getitem__, codes.tolist()))
     null_counts = null_counts.tolist()
     width = len(rel.schema)
-    new = np.empty_like(codes)
-    for start, end in zip(bounds, bounds[1:]):
-        v_fix = fn(bag[start:end], null_counts[start:end], width, rng)
-        new[start:end] = rel.encode(fd.rhs, v_fix)
-    return new
+    picks = [rel.encode(fd.rhs, fn(bag[start:end], null_counts[start:end],
+                                   width, rng))
+             for start, end in zip(bounds, bounds[1:])]
+    return np.repeat(np.array(picks, dtype=codes.dtype), np.diff(bounds))
 
 
 def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
@@ -303,14 +269,16 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
     place. Returns the number of violated classes.
 
     A voting function (``fn.vote_exponent`` set) votes on codes over all
-    classes at once (``_vote``), summing weights per (class, code) pair. A
-    class whose top is one code takes it, which is the value ``fn`` would
-    return, since no tie arises; each such winner is a (class, code) pair
-    occurring in the class, so this vote is preservative by construction.
-    A class whose top is tied is handed to ``fn`` with its tied values only,
-    once each at equal weight, which settles it as the whole bag would: the
-    same value and the same rng draw. Any other function is called once per
-    class on its whole bag, values and NULL counts in tid order. Calls go
+    classes at once (``_majority``, which settles Vio's ties too), summing
+    weights per (class, code) pair. A class whose top is one code takes it,
+    which is the value ``fn`` would return, since no tie arises; each such
+    winner is a (class, code) pair occurring in the class, so this vote is
+    preservative by construction. A class whose top is tied is handed to
+    ``fn`` with its tied values only, once each at zero NULLs, which settles
+    it as the whole bag would: the same value and the same rng draw. Any
+    other function is called once per class on its whole bag, values and
+    NULL counts in tid order; every call goes through ``_call_per_class``,
+    which writes each class's new code back with one ``np.repeat``. Calls go
     in order of the classes' least tids.
     """
     update_dsf(rel, fd, dsf, null_equals_null)
@@ -330,7 +298,12 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
             rel, fd, fn, rng, least[row_class][order], old[order],
             _null_counts(rel, rows[order]))
     else:
-        n_classes, new = _vote(rel, fd, fn, rng, rows, comp[rows], old, tids)
+        weights = None
+        if fn.vote_exponent:
+            nulls = _null_counts(rel, rows)
+            weights = (len(rel.schema) - nulls) ** fn.vote_exponent
+        n_classes, new = _majority(rel, fd, fn, rng, comp[rows], old, tids,
+                                   weights)
     codes[rows] = new
     return n_classes
 
