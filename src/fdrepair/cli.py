@@ -176,7 +176,13 @@ def build_parser():
     add_io(p)
     p.set_defaults(func=cmd_repair)
 
-    p = sub.add_parser("partition", help="show the induced attribute partition")
+    p = sub.add_parser(
+        "partition",
+        help="show the induced attribute partition (NULL-equal cover)",
+        description="List the induced attribute partition and each class's "
+                    "pilot and non-pilot FDs, from the minimal cover under "
+                    "NULL-equal semantics; 'repair --null-unequal' keeps "
+                    "every FD of the input, lhs reduced.")
     p.add_argument("--data", required=True)
     p.add_argument("--fds", required=True)
     add_io(p)

@@ -269,17 +269,16 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
     place. Returns the number of violated classes.
 
     A voting function (``fn.vote_exponent`` set) votes on codes over all
-    classes at once (``_majority``, which settles Vio's ties too), summing
-    weights per (class, code) pair. A class whose top is one code takes it,
-    which is the value ``fn`` would return, since no tie arises; each such
-    winner is a (class, code) pair occurring in the class, so this vote is
+    classes at once (``_majority``, as Vio does), summing weights per
+    (class, code) pair. A class whose top is one code takes it, which is
+    the value ``fn`` would return, since no tie arises; each such winner is
+    a (class, code) pair occurring in the class, so this vote is
     preservative by construction. A class whose top is tied is handed to
-    ``fn`` with its tied values only, once each at zero NULLs, which settles
-    it as the whole bag would: the same value and the same rng draw. Any
-    other function is called once per class on its whole bag, values and
-    NULL counts in tid order; every call goes through ``_call_per_class``,
-    which writes each class's new code back with one ``np.repeat``. Calls go
-    in order of the classes' least tids.
+    ``fn`` with its tied values only, once each at zero NULLs, which
+    settles it as the whole bag would: the same value and the same rng
+    draw. Any other function is called once per class on its whole bag,
+    values and NULL counts in tid order. Calls go in order of the classes'
+    least tids, through ``_call_per_class``.
     """
     update_dsf(rel, fd, dsf, null_equals_null)
     codes = rel.codes(fd.rhs)
@@ -298,10 +297,8 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
             rel, fd, fn, rng, least[row_class][order], old[order],
             _null_counts(rel, rows[order]))
     else:
-        weights = None
-        if fn.vote_exponent:
-            nulls = _null_counts(rel, rows)
-            weights = (len(rel.schema) - nulls) ** fn.vote_exponent
+        weights = ((len(rel.schema) - _null_counts(rel, rows))
+                   ** fn.vote_exponent if fn.vote_exponent else None)
         n_classes, new = _majority(rel, fd, fn, rng, comp[rows], old, tids,
                                    weights)
     codes[rows] = new
@@ -345,16 +342,15 @@ def shares_forest(class_attrs, fds_i, functions):
             and all(functions[a].preservative for a in cls))
 
 
-def priority_repair(rel, fds_i, class_attrs, functions, rng, stats=None,
-                    priority=None, null_equals_null=True,
-                    skip_unary_revision=True):
-    """Repair one partition class in place (mutates ``rel``).
+def priority_repair(rel, fds_i, class_attrs, functions, rng, priority=None,
+                    null_equals_null=True, skip_unary_revision=True):
+    """Repair one partition class in place (mutates ``rel``) and return its
+    RepairStats.
 
     ``functions`` maps attribute -> RepairFunction. ``priority`` overrides
     the estimated attribute order (manual supervisor input).
     """
-    if stats is None:
-        stats = RepairStats()
+    stats = RepairStats()
     cls = set(class_attrs)
     if priority is None and any(fd.lhs & cls for fd in fds_i):
         priority, stats.vio_sizes = estimate_priority(

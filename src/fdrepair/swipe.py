@@ -15,7 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .fds import minimal_cover, violates
+from .fds import _reduce_lhs, minimal_cover, violates
 from .partition import (build_preorder, induced_partition, fds_entering_at,
                         check_forward_repairable)
 from .priority import RepairInvariantError, RepairStats, priority_repair
@@ -77,9 +77,15 @@ def resolve_functions(schema, repair_fn="mv", fn_map=None):
     return functions
 
 
-def plan(fds, schema):
-    """What swipe repairs, before it touches a row: (minimal cover, induced
+def plan(fds, schema, null_equals_null=True):
+    """What swipe repairs, before it touches a row: (cover, induced
     partition, schema attributes outside the partition, which no FD names).
+
+    The cover is ``minimal_cover(fds)``. Under NULL-unequal semantics
+    transitivity fails (a NULL in the middle attribute breaks the chain),
+    so an FD implied by others may still be violated when they hold: the
+    cover then keeps every FD, only with its lhs reduced, which makes it
+    stronger and so still sound.
 
     Raises SchemaError for an FD over an attribute outside ``schema`` and
     RepairInvariantError if the partition is not forward repairable.
@@ -88,7 +94,7 @@ def plan(fds, schema):
         for a in sorted(fd.attributes):
             if a not in schema:
                 raise SchemaError("FD %s uses unknown attribute %r" % (fd, a))
-    cover = minimal_cover(fds)
+    cover = minimal_cover(fds) if null_equals_null else _reduce_lhs(fds)
     part = induced_partition(build_preorder(cover, schema), schema)
     if not check_forward_repairable(part, cover):
         raise RepairInvariantError("partition %s is not forward-repairable"
@@ -104,13 +110,15 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
 
     ``priority_override`` maps a 1-based class index to a manually supplied
     attribute order for that class, which must name every attribute of the
-    class. Returns a RepairOutcome; ``rel`` itself is left untouched.
-    Raises SchemaError for an FD over an attribute outside the schema and
-    ValueError for an override of a class that does not exist or that
-    leaves out an attribute of its class, before anything is repaired.
+    class once and nothing else. Returns a RepairOutcome; ``rel`` itself is
+    left untouched. Raises SchemaError for an FD over an attribute outside
+    the schema and ValueError for an override of a class that does not
+    exist, or that leaves out, repeats or adds to the attributes of its
+    class, before anything is repaired.
     """
     t0 = time.perf_counter()
-    cover, part, non_repairable = plan(fds, rel.schema)
+    cover, part, non_repairable = plan(fds, rel.schema,
+                                       null_equals_null)
     if seed is None:
         seed = random.randrange(2**32)
     rng = random.Random(seed)
@@ -120,10 +128,15 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
         if not 1 <= i <= len(part.classes):
             raise ValueError("priority_override names class %d, but the "
                              "partition has %d" % (i, len(part.classes)))
-        missing = sorted(set(part.classes[i - 1]) - set(priority))
-        if missing:
-            raise ValueError("priority_override for class %d leaves out %s"
-                             % (i, ", ".join(missing)))
+        cls = part.classes[i - 1]
+        for fault, names in (
+                ("leaves out %s", set(cls) - set(priority)),
+                ("names %s, outside the class", set(priority) - set(cls)),
+                ("repeats %s",
+                 {a for a in priority if priority.count(a) > 1})):
+            if names:
+                raise ValueError("priority_override for class %d " % i
+                                 + fault % ", ".join(sorted(names)))
 
     repaired = rel.copy()
     outcomes = []

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdrepair import (FD, Relation, Schema, SchemaError, attribute_closure,
-                      implies, load_fds, minimal_cover, parse_fd, parse_fds,
-                      save_fds, violates)
-from fdrepair.fds import mixed_rows
+                      implies, load_fds, minimal_cover, save_fds, violates)
+from fdrepair.fds import mixed_rows, parse_fd, parse_fds
 
 
 def fd(lhs, rhs):

@@ -8,13 +8,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fdrepair import (FD, DisjointSetForest, Relation, Schema,
                       estimate_priority, fix, minimal_cover, pilot_fds,
-                      priority_repair, resolve_functions, skip_revision_unary,
-                      update_dsf, vio, vio_fd, violates)
+                      update_dsf, vio, violates)
 import fdrepair.priority as engine
 from fdrepair.partition import fds_entering_at
-from fdrepair.priority import _GRID_PER_ROW, RepairStats, _tally
+from fdrepair.priority import (_GRID_PER_ROW, RepairStats, _tally,
+                               priority_repair, skip_revision_unary, vio_fd)
 from fdrepair.repair_functions import BUILTINS, MV, WV, RepairFunction
-from fdrepair.swipe import plan
+from fdrepair.swipe import plan, resolve_functions
 
 NAME_PROV = FD(frozenset({"hospital name"}), "#provider")
 PROV_NAME = FD(frozenset({"#provider"}), "hospital name")
@@ -476,9 +476,8 @@ def test_skip_rule_matches_no_skip_output():
     for skip in (True, False):
         work = rel.copy()
         fns = resolve_functions(work.schema, "mv")
-        stats = RepairStats()
         priority_repair(work, fds, ["a", "b"], fns, random.Random(9),
-                        stats=stats, skip_unary_revision=skip)
+                        skip_unary_revision=skip)
         for fd in fds:
             assert violates(work, fd) == []
         outs.append(work.rows)

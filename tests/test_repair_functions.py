@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdrepair
-from fdrepair import (BUILTINS, RepairFunction, get_function,
-                      majority_vote, max_value, weighted_vote)
+from fdrepair import RepairFunction
+from fdrepair.repair_functions import (BUILTINS, get_function, majority_vote,
+                                       max_value, weighted_vote)
 
 
 def test_majority_clear_winner():
