@@ -117,8 +117,7 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
     class, before anything is repaired.
     """
     t0 = time.perf_counter()
-    cover, part, non_repairable = plan(fds, rel.schema,
-                                       null_equals_null)
+    cover, part, non_repairable = plan(fds, rel.schema, null_equals_null)
     if seed is None:
         seed = random.randrange(2**32)
     rng = random.Random(seed)

@@ -93,7 +93,12 @@ def test_bad_priority_override_is_value_error(hospital_snippet,
             ({1: ["hospital name", "#provider"], len(classes): []},
              "class %d leaves out" % len(classes)),
             ({0: []}, "names class 0, but the partition has %d"
-             % len(classes))):
+             % len(classes)),
+            # an override names its class's attributes once and no others
+            ({1: ["hospital name", "#provider", "zzz", "city"]},
+             "class 1 names city, zzz, outside the class"),
+            ({1: ["hospital name", "#provider", "hospital name"]},
+             "class 1 repeats hospital name")):
         # checked before any class is repaired
         calls = []
         spy = RepairFunction("spy", True, lambda vs, ns, w, rng: (
@@ -102,18 +107,6 @@ def test_bad_priority_override_is_value_error(hospital_snippet,
             swipe(hospital_snippet, hospital_fds, repair_fn=spy, seed=0,
                   priority_override=override)
         assert calls == []
-
-
-def test_priority_override_names_only_its_class():
-    rel = Relation(Schema(["a", "b", "c"]), [1, 2],
-                   [["1", "x", "p"], ["1", "y", "q"]])
-    fds = [FD(frozenset("a"), "b"), FD(frozenset("b"), "c")]
-    for override, message in (
-            ({1: ["a", "zzz"]}, "class 1 names zzz, outside the class"),
-            ({2: ["b", "c", "a"]}, "class 2 names a, c, outside the class"),
-            ({2: ["b", "b"]}, "class 2 repeats b")):
-        with pytest.raises(ValueError, match=message):
-            swipe(rel, fds, seed=0, priority_override=override)
 
 
 def test_fuzz_repairs_satisfy_all_fds():
