@@ -48,9 +48,13 @@ def implies(fds, fd):
     return fd.rhs in attribute_closure(fd.lhs, fds)
 
 
-def _reduce_lhs(fds):
-    """``fds`` without trivial FDs or repeats, each left-hand side reduced
-    one attribute at a time against the full set, in input order."""
+def minimal_cover(fds):
+    """Equivalent FD list with irreducible left-hand sides and no redundant FDs.
+
+    Trivial FDs (rhs in lhs) are dropped. Left-hand sides are reduced one
+    attribute at a time against the full set; redundant FDs are then removed
+    in a fixed scan order, so the result is deterministic given input order.
+    """
     work = []
     for fd in fds:
         if fd.rhs in fd.lhs:
@@ -73,17 +77,8 @@ def _reduce_lhs(fds):
     for fd in work:
         if fd not in deduped:
             deduped.append(fd)
-    return deduped
 
-
-def minimal_cover(fds):
-    """Equivalent FD list with irreducible left-hand sides and no redundant FDs.
-
-    Trivial FDs (rhs in lhs) are dropped. Left-hand sides are reduced one
-    attribute at a time against the full set; redundant FDs are then removed
-    in a fixed scan order, so the result is deterministic given input order.
-    """
-    deduped = _reduce_lhs(fds)
+    # redundancy elimination
     cover = list(deduped)
     for fd in deduped:
         rest = [f for f in cover if f != fd]

@@ -15,7 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .fds import _reduce_lhs, minimal_cover, violates
+from .fds import minimal_cover, violates
 from .partition import (build_preorder, induced_partition, fds_entering_at,
                         check_forward_repairable)
 from .priority import RepairInvariantError, RepairStats, priority_repair
@@ -83,9 +83,10 @@ def plan(fds, schema, null_equals_null=True):
 
     The cover is ``minimal_cover(fds)``. Under NULL-unequal semantics
     transitivity fails (a NULL in the middle attribute breaks the chain),
-    so an FD implied by others may still be violated when they hold: the
-    cover then keeps every FD, only with its lhs reduced, which makes it
-    stronger and so still sound.
+    so an FD implied by others may be violated while they hold, and a
+    reduced lhs may be violated while the FD it came from holds: the cover
+    is then ``fds`` as given, without repeats or trivial FDs, exactly the
+    FDs the final check tests.
 
     Raises SchemaError for an FD over an attribute outside ``schema`` and
     RepairInvariantError if the partition is not forward repairable.
@@ -94,7 +95,8 @@ def plan(fds, schema, null_equals_null=True):
         for a in sorted(fd.attributes):
             if a not in schema:
                 raise SchemaError("FD %s uses unknown attribute %r" % (fd, a))
-    cover = minimal_cover(fds) if null_equals_null else _reduce_lhs(fds)
+    cover = minimal_cover(fds) if null_equals_null else \
+        [fd for fd in dict.fromkeys(fds) if fd.rhs not in fd.lhs]
     part = induced_partition(build_preorder(cover, schema), schema)
     if not check_forward_repairable(part, cover):
         raise RepairInvariantError("partition %s is not forward-repairable"

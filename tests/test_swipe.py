@@ -137,12 +137,25 @@ def test_nulls_grouped_by_default():
     assert out2.cells_changed == 0
 
 
+def test_null_unequal_leaves_satisfying_relation_unchanged():
+    # every input FD holds when NULLs never match, but the lhs reduction
+    # a,d -> c to a -> c (through b) does not: NULL in b breaks the chain
+    rel = Relation(Schema(["a", "b", "c", "d"]))
+    rel.append(1, ["1", None, "x", "5"])
+    rel.append(2, ["1", None, "y", "6"])
+    fds = [FD(frozenset("a"), "b"), FD(frozenset("b"), "c"),
+           FD(frozenset("ad"), "c")]
+    out = swipe(rel, fds, seed=0, null_equals_null=False)
+    assert out.changes() == []
+    assert out.repaired.rows == rel.rows
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 8), st.sampled_from([0.0, 0.1]),
        st.sampled_from(["mv", "wv", "max"]), st.booleans(),
        st.integers(0, 2**32 - 1))
 # under NULL-unequal semantics an FD implied through transitivity can stay
-# violated when the FDs implying it hold, so the cover keeps it
+# violated when the FDs implying it hold, so swipe repairs every input FD
 @example(5, 0.1, "mv", False, 19)
 @example(5, 0.1, "wv", False, 19)
 @example(6, 0.1, "mv", False, 134)
