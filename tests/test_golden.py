@@ -63,7 +63,7 @@ GOLDEN = [
     "csv:d2f43776332d22e6 log:a38b85cab4f1f63d",
     "csv:2178f12f324c702e log:1230e67eb195da94",
     "csv:6cffbea0a1551aff log:2fea3b0694e7ead6",
-    "csv:28a9e85f0671b210 log:1a59d3ad227ce64c",
+    "csv:ccda7bdcc86d3a0c log:40dd7e58f473cb35",
     "csv:2b6a774238713c87 log:619bb9fd71ff1ac9",
     "csv:d960e676bcb37d4e log:518e25d9cc6a89fc",
     "csv:beb5cb844909accb log:b6297e4c3b98da0e",
