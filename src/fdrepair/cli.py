@@ -181,8 +181,8 @@ def build_parser():
         help="show the induced attribute partition (NULL-equal cover)",
         description="List the induced attribute partition and each class's "
                     "pilot and non-pilot FDs, from the minimal cover under "
-                    "NULL-equal semantics; 'repair --null-unequal' keeps "
-                    "every FD of the input, lhs reduced.")
+                    "NULL-equal semantics; 'repair --null-unequal' repairs "
+                    "the input FDs as given.")
     p.add_argument("--data", required=True)
     p.add_argument("--fds", required=True)
     add_io(p)
