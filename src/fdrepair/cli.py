@@ -57,6 +57,7 @@ def _class_report(outcome):
         "revisions": c.stats.revisions,
         "sweep_reenqueues": c.stats.sweep_reenqueues,
         "cells_changed": c.cells_changed,
+        "cells_changed_per_attribute": c.cells_changed_per_attribute,
         "duration_s": c.duration,
     } for c in outcome.classes]
 

@@ -2,11 +2,11 @@
 
 The forest is flat: one numpy array holds the root row of every row, and
 ``tids`` is the int64 tid array it was given, uncopied. ``merge`` is its
-only mutator. It unions every group of rows sharing a label, in the manner
-of Shiloach and Vishkin (J. Algorithms 1982): each round takes every
-label's least root and stops if every row already has it; if not, it hooks
-each row's root onto that least root and pointer jumps until every tree
-has height at most one. A fresh forest given strictly increasing rows
+only mutator. Given one label per row, it unions every group of rows
+sharing a label, in the manner of Shiloach and Vishkin (J. Algorithms
+1982): each round takes every label's least root and stops if every row
+already has it; if not, it hooks each row's root onto that least root and
+pointer jumps until every tree has height at most one. A fresh forest
 needs no rounds: each label's least row becomes its root in one pass.
 Every class's root stays its least row, ``class_count`` stays exact, and a
 merge replaces the root array rather than write into one it handed out.
@@ -37,36 +37,35 @@ class DisjointSetForest:
         """The root row of every row, as an array."""
         return self._root
 
-    def merge(self, rows, labels):
-        """Union the classes of all ``rows`` that share a label.
+    def merge(self, labels):
+        """Union the classes of all rows that share a label.
 
         ``labels`` are small non-negative integers, one per row. A merge
-        that changes nothing costs one round: a gather of the rows' roots,
-        one ``np.minimum.at`` and one compare. The one-pass path for a fresh
-        forest needs ``rows`` strictly increasing, as ``np.flatnonzero``
-        gives them.
+        that changes nothing costs one round: one ``np.minimum.at`` over
+        the roots and one compare. A fresh forest needs no rounds: each
+        label's least row becomes its root in one pass. Raises ValueError
+        unless there is one label per row.
         """
-        if len(rows) == 0:
-            return
         comp = self._root
         n = len(comp)
+        if len(labels) != n:
+            raise ValueError("%d labels for %d rows" % (len(labels), n))
+        if not n:
+            return
         least = np.full(labels.max() + 1, n)
-        if self.class_count == n and (rows[1:] > rows[:-1]).all():
-            np.minimum.at(least, labels, rows)
-            comp = comp.copy()
-            comp[rows] = least[labels]
-            self._root = comp
-            self.class_count = n - len(rows) + int((least < n).sum())
+        if self.class_count == n:
+            np.minimum.at(least, labels, comp)
+            self._root = least[labels]
+            self.class_count = int((least < n).sum())
             return
         while True:
-            heads = comp[rows]
-            np.minimum.at(least, labels, heads)
+            np.minimum.at(least, labels, comp)
             target = least[labels]
-            if np.array_equal(heads, target):
+            if np.array_equal(comp, target):
                 break
-            comp = comp.copy()
-            np.minimum.at(comp, heads, target)
-            comp = _jump(comp)
+            hooked = comp.copy()
+            np.minimum.at(hooked, comp, target)
+            comp = _jump(hooked)
             least[:] = n
         if comp is not self._root:
             self._root = comp

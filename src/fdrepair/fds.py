@@ -88,28 +88,27 @@ def minimal_cover(fds):
 
 
 def group_rows(rel, attrs, null_equals_null=True):
-    """Group the rows by their ``attrs`` values: (ids, may).
+    """Group the rows by their ``attrs`` values: one group id per row.
 
-    ``ids`` gives each row a small non-negative group id, equal for two rows
-    exactly when their values on ``attrs`` are equal. ``may`` marks the rows
-    that may group with others: all of them, or, with ``null_equals_null``
-    off, those without a NULL in ``attrs``, since a NULL key never matches
-    any other key, NULL included.
+    Ids are non-negative and below 3n + 2 for n rows, and two rows get
+    equal ids exactly when their values on ``attrs`` are equal. With
+    ``null_equals_null`` off a NULL key never matches any other key, NULL
+    included, so each row with a NULL in ``attrs`` gets an id of its own.
     """
     n = len(rel)
-    ids = np.zeros(n, dtype=np.int64)
-    may = np.ones(n, dtype=bool)
     size = 1  # ids < size
-    for a in attrs:
-        codes = rel.codes(a)
-        ids = ids * len(rel.values(a)) + codes
-        size *= len(rel.values(a))
+    for i, a in enumerate(attrs):
+        k = len(rel.values(a))
+        ids = ids * k + rel.codes(a) if i else rel.codes(a).astype(np.int64)
+        size *= k
         if size > 2 * n + 2:  # keep ids below 2n + 2, products in int64
             uniq, ids = np.unique(ids, return_inverse=True)
             size = len(uniq)
-        if not null_equals_null:
-            may &= codes != NULL
-    return ids, may
+    if not null_equals_null:
+        lone = np.flatnonzero(np.logical_or.reduce(
+            [rel.codes(a) == NULL for a in attrs]))
+        ids[lone] = size + np.arange(len(lone))
+    return ids
 
 
 def mixed_rows(groups, codes):
@@ -135,13 +134,12 @@ def violates(rel, fd, null_equals_null=True):
     order. Only violated groups are materialised as tid lists, as in a
     stripped-partition check.
     """
-    ids, may = group_rows(rel, sorted(fd.lhs), null_equals_null)
-    rows = np.flatnonzero(may)
-    ids = ids[rows]
-    bad = mixed_rows(ids, rel.codes(fd.rhs)[rows])
+    ids = group_rows(rel, sorted(fd.lhs), null_equals_null)
+    bad = mixed_rows(ids, rel.codes(fd.rhs))
     if not bad.any():
         return []
-    rows, ids = rows[bad], ids[bad]
+    rows = np.flatnonzero(bad)
+    ids = ids[rows]
     _, first, group_of = np.unique(ids, return_index=True, return_inverse=True)
     first = first[group_of]  # position of each row's first group member
     order = np.argsort(first, kind="stable")

@@ -19,16 +19,16 @@ after each drain flags anything still violated as a backstop; without a
 skip every FD provably holds, and no sweep runs.
 
 All of it runs on the relation's integer codes. One grouping primitive,
-``group_rows``, turns an lhs into group ids, which ``update_dsf`` merges
-into the forest in bulk; ``fix`` finds the forest classes holding two or
-more rhs values by one scatter and compare (``mixed_rows``). One counting
-kernel, ``_tally``, sums votes per (group, code) pair both for Vio (lhs
-groups, one vote per row) and for the array vote ``fix`` runs for
-``mv``/``wv`` (forest classes, weighted as the function declares). It
-numbers groups from a presence mask rather than a sort (``_dense``) and
-has two paths, chosen by size alone: with at most ``_GRID_PER_ROW``
-(group, code) cells per row it sums on the whole grid with
-``np.bincount``; past that it sorts the pairs that occur with
+``group_rows``, turns an lhs into one group id per row, which
+``update_dsf`` hands to the forest as one merge's labels; ``fix`` finds
+the forest classes holding two or more rhs values by one scatter and
+compare (``mixed_rows``). One counting kernel, ``_tally``, sums votes per
+(group, code) pair both for Vio (lhs groups, one vote per row) and for the
+array vote ``fix`` runs for ``mv``/``wv`` (forest classes, weighted as the
+function declares). It numbers groups from a presence mask rather than a
+sort (``_dense``) and has two paths, chosen by size alone: with at most
+``_GRID_PER_ROW`` (group, code) cells per row it sums on the whole grid
+with ``np.bincount``; past that it sorts the pairs that occur with
 ``np.unique``. A group whose top is tied is settled the same way for both,
 by one per-group call (``_majority``): its tied values are handed to a
 picker, groups in order of their least key. Vio's picker (``_vio_pick``)
@@ -146,19 +146,16 @@ def _minority_rows(rel, fd, rng, null_equals_null):
 
     Several values sharing a group's top count are settled by
     ``_vio_pick``, NULL among them, groups in order of their first row.
-    Rows that may not group (NULL keys under NULL-unequal semantics) are
-    groups of one and never differ.
+    NULL keys under NULL-unequal semantics are groups of one, which never
+    tie and never differ.
     """
-    minority = np.zeros(len(rel), dtype=bool)
-    ids, may = group_rows(rel, sorted(fd.lhs), null_equals_null)
-    rows = np.flatnonzero(may)
-    if not len(rows):
-        return minority
-    codes = rel.codes(fd.rhs)[rows]
-    _, winner = _majority(rel, fd, _vio_pick, rng, ids[rows], codes,
-                          np.arange(len(rows)))
-    minority[rows] = codes != winner
-    return minority
+    ids = group_rows(rel, sorted(fd.lhs), null_equals_null)
+    codes = rel.codes(fd.rhs)
+    if not len(codes):
+        return np.zeros(0, dtype=bool)
+    _, winner = _majority(rel, fd, _vio_pick, rng, ids, codes,
+                          np.arange(len(codes)))
+    return codes != winner
 
 
 def _tids_of(rel, mask):
@@ -216,8 +213,7 @@ def update_dsf(rel, fd, dsf, null_equals_null=True):
     if not np.array_equal(dsf.tids, rel.tid_array()):
         raise ValueError("the forest's tids are not the relation's tids "
                          "in row order")
-    ids, may = group_rows(rel, sorted(fd.lhs), null_equals_null)
-    dsf.merge(np.flatnonzero(may), ids[may])
+    dsf.merge(group_rows(rel, sorted(fd.lhs), null_equals_null))
 
 
 def _null_counts(rel, rows):

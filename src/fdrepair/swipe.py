@@ -28,7 +28,11 @@ class ClassOutcome:
     attributes: list
     stats: RepairStats
     duration: float
-    cells_changed: int  # cells of its attributes that differ from the input
+    cells_changed_per_attribute: dict  # attribute -> cells unlike the input
+
+    @property
+    def cells_changed(self):
+        return sum(self.cells_changed_per_attribute.values())
 
 
 @dataclass
@@ -151,8 +155,8 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
             skip_unary_revision=skip_unary_revision)
         # only this class's FDs write its attributes, and no later class
         # writes them
-        changed = sum(int(np.count_nonzero(repaired.codes(a) != rel.codes(a)))
-                      for a in cls)
+        changed = {a: int(np.count_nonzero(repaired.codes(a) != rel.codes(a)))
+                   for a in cls}
         outcomes.append(ClassOutcome(list(cls), stats,
                                      time.perf_counter() - tc, changed))
 

@@ -70,6 +70,25 @@ def test_repair_report_counts_sweep_reenqueues(tmp_path):
     jsonschema.validate(json.loads(report.read_text()), schema)
 
 
+@pytest.mark.parametrize("semantics", [[], ["--null-unequal"]])
+def test_repair_header_only_csv(tmp_path, semantics):
+    data, fds, out, report = (tmp_path / n for n in
+                              ("d.csv", "f.txt", "out.csv", "r.json"))
+    data.write_text("a,b,c\n")
+    fds.write_text("a -> b\nb -> a\na,b -> c\n")
+    assert main(["repair", "--data", str(data), "--fds", str(fds),
+                 "--out", str(out), "--report", str(report), "--seed", "0",
+                 *semantics]) == 0
+    assert out.read_text() == "a,b,c\n"
+    saved = json.loads(report.read_text())
+    assert saved["cells_changed"] == 0
+    assert all(c["cells_changed_per_attribute"] ==
+               dict.fromkeys(c["attributes"], 0) for c in saved["classes"])
+    schema = json.loads(resources.files("fdrepair")
+                        .joinpath("report_schema.json").read_text())
+    jsonschema.validate(saved, schema)
+
+
 def test_repair_deterministic_given_seed(workdir):
     argv = ["repair", "--data", str(workdir / "data.csv"),
             "--fds", str(workdir / "rules.txt"), "--seed", "9"]
@@ -171,6 +190,10 @@ def test_report_counts_the_cells_evaluate_counts(workdir, capsys):
     assert saved["cells_changed"] == quality["repaired_cells"] > 0
     assert sum(c["cells_changed"] for c in saved["classes"]) == \
         saved["cells_changed"]
+    for c in saved["classes"]:
+        assert list(c["cells_changed_per_attribute"]) == c["attributes"]
+        assert sum(c["cells_changed_per_attribute"].values()) == \
+            c["cells_changed"]
 
 
 def test_missing_file_exits_nonzero(tmp_path, capsys):

@@ -6,9 +6,18 @@ from fdrepair import DisjointSetForest, Relation, Schema
 
 
 def merge_pairs(d, pairs):
-    """Merge each pair of rows into one class, through one ``merge``."""
-    rows = np.array(pairs, dtype=np.intp).reshape(-1)
-    d.merge(rows, np.repeat(np.arange(len(pairs)), 2))
+    """Merge each pair of rows into one class. A merge takes one label per
+    row, so the pairs go in several merges in sequence, a new one whenever
+    a pair names a row the current merge has already labelled."""
+    n = len(d.tids)
+    labels, used = np.arange(n), set()
+    for a, b in pairs:
+        if used & {a, b}:
+            d.merge(labels)
+            labels, used = np.arange(n), set()
+        labels[b] = a
+        used |= {a, b}
+    d.merge(labels)
 
 
 def test_makeset_self_root():
@@ -52,10 +61,18 @@ def test_union_decrements_class_count():
     assert d.class_count == 1
 
 
+@pytest.mark.parametrize("n_labels", [0, 2, 4])
+def test_merge_needs_one_label_per_row(n_labels):
+    d = DisjointSetForest(range(3))
+    with pytest.raises(ValueError, match="%d labels for 3 rows" % n_labels):
+        d.merge(np.zeros(n_labels, dtype=np.int64))
+    assert d.roots().tolist() == [0, 1, 2]
+
+
 def test_paper_style_classes():
     d = DisjointSetForest(range(1, 7))
     # rows 0..5 hold tids 1..6; two lhs groups, then two pairs chaining them
-    d.merge(np.array([0, 1, 4, 5]), np.array([0, 0, 1, 1]))
+    d.merge(np.array([0, 0, 2, 3, 1, 1]))
     merge_pairs(d, [(1, 2), (2, 3)])
     assert d.classes() == [[1, 2, 3, 4], [5, 6]]
     roots = d.roots()
@@ -120,9 +137,10 @@ def test_matches_quotient_oracle(n, unions, batch):
        st.lists(st.dictionaries(st.integers(0, 59), st.integers(0, 6)),
                 min_size=1, max_size=3))
 def test_increasing_rows_match_quotient_oracle(n, pairs, merges):
-    # rows strictly increasing and distinct, with any labels, as update_dsf
-    # passes them: into a fresh forest when ``pairs`` is empty, else into
-    # one they already merged; each merge leaves earlier root arrays alone
+    # one label per row, as update_dsf passes them: rows in ``labelled``
+    # take any label, the rest a label of their own; into a fresh forest
+    # when ``pairs`` is empty, else into one they already merged; each
+    # merge leaves earlier root arrays alone
     d = DisjointSetForest(range(n))
     oracle = QuotientOracle(range(n))
     pairs = [(a, b) for a, b in pairs if a < n and b < n]
@@ -131,15 +149,14 @@ def test_increasing_rows_match_quotient_oracle(n, pairs, merges):
     for a, b in pairs:
         oracle.union(a, b)
     for labelled in merges:
-        rows = np.array(sorted(r for r in labelled if r < n), dtype=np.intp)
-        labels = np.array([labelled[r] for r in rows.tolist()],
+        labels = np.array([labelled.get(r, 7 + r) for r in range(n)],
                           dtype=np.int64)
         before = d.roots()
         kept = before.copy()
-        d.merge(rows, labels)
+        d.merge(labels)
         assert np.array_equal(before, kept)
         for label in set(labels.tolist()):
-            group = rows[labels == label].tolist()
+            group = np.flatnonzero(labels == label).tolist()
             for r in group[1:]:
                 oracle.union(group[0], r)
         assert d.classes() == oracle.classes()

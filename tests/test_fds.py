@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fdrepair import (FD, Relation, Schema, SchemaError, attribute_closure,
                       implies, load_fds, minimal_cover, save_fds, violates)
-from fdrepair.fds import mixed_rows, parse_fd, parse_fds
+from fdrepair.fds import group_rows, mixed_rows, parse_fd, parse_fds
 
 
 def fd(lhs, rhs):
@@ -137,11 +137,39 @@ def test_violates_matches_bruteforce(rows, lhs, null_equals_null, rng):
     assert bad == violates_reference(rel, f, null_equals_null)
 
 
-# rows of (group id, code): ids either small or near 2n + 1, the top of
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.none(), st.integers(0, 9).map(str)),
+                         min_size=3, max_size=3), max_size=40),
+       st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3,
+                unique=True),
+       st.lists(st.integers(10, 99).map(str), max_size=120), st.booleans())
+def test_group_rows_matches_dict_reference(rows, attrs, unused, null_equals_null):
+    # ``unused`` values grow the first attribute's dictionary past the rows,
+    # as values a repair function encodes can
+    rel = Relation(Schema(["a", "b", "c"]), range(len(rows)), rows)
+    for value in unused:
+        rel.encode(attrs[0], value)
+    ids = group_rows(rel, attrs, null_equals_null)
+    n = len(rows)
+    assert ids.shape == (n,)
+    assert ((0 <= ids) & (ids < 3 * n + 2)).all()
+    idx = rel.schema.indices(attrs)
+    group = {}  # key -> the reference's group number
+    expected = []
+    for r, row in enumerate(rows):
+        key = tuple(row[i] for i in idx)
+        if not null_equals_null and None in key:
+            key = ("\0row", r)  # a NULL key matches no other key
+        expected.append(group.setdefault(key, len(group)))
+    for r, s in itertools.combinations(range(n), 2):
+        assert (ids[r] == ids[s]) == (expected[r] == expected[s])
+
+
+# rows of (group id, code): ids either small or near 3n + 1, the top of
 # group_rows's id range for n rows
 @settings(max_examples=200)
 @given(st.integers(0, 30).flatmap(lambda n: st.lists(st.tuples(
-    st.one_of(st.integers(0, 3), st.integers(max(0, 2 * n - 2), 2 * n + 1)),
+    st.one_of(st.integers(0, 3), st.integers(max(0, 3 * n - 2), 3 * n + 1)),
     st.integers(0, 2)), min_size=n, max_size=n)))
 @example([])
 @example([(7, 1)])  # one group of one row

@@ -129,8 +129,10 @@ def test_update_dsf_matches_components(rows, lhs, null_equals_null, rng):
     before = [tuple(rng.sample(tids, 2)) for _ in range(len(tids) // 3)]
     if before:
         row = {tid: i for i, tid in enumerate(tids)}
-        d.merge(np.array([row[t] for pair in before for t in pair]),
-                np.repeat(np.arange(len(before)), 2))
+        for t1, t2 in before:  # one merge per pair
+            labels = np.arange(len(tids))
+            labels[row[t2]] = row[t1]
+            d.merge(labels)
     update_dsf(rel, FD(frozenset(lhs), "c"), d, null_equals_null)
     idx = rel.schema.indices(sorted(lhs))
     keyed = [(tid, tuple(row[i] for i in idx)) for tid, row in zip(tids, rows)]

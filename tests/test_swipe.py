@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fdrepair import (FD, GenConfig, Relation, RepairFunction, Schema,
-                      SchemaError, evaluate, generate, swipe, violates)
+from fdrepair import (FD, DisjointSetForest, GenConfig, Relation,
+                      RepairFunction, Schema, SchemaError, evaluate, generate,
+                      swipe, violates)
+from fdrepair.priority import update_dsf, vio
 
 
 def test_hospital_snippet_repair(hospital_snippet, hospital_fds):
@@ -30,6 +33,26 @@ def test_single_conflicted_pair_one_cell():
     rel.append(2, ["x", "2"])
     out = swipe(rel, [FD(frozenset("a"), "b")], seed=0)
     assert len(out.changes()) == out.cells_changed == 1
+
+
+@pytest.mark.parametrize("null_equals_null", [True, False])
+def test_zero_row_relation(null_equals_null):
+    # no rows: no group, no label, no forest class, nothing to repair
+    rel = Relation(Schema(["a", "b", "c"]))
+    fds = [FD(frozenset("a"), "b"), FD(frozenset("b"), "a"),
+           FD(frozenset("ab"), "c")]
+    out = swipe(rel, fds, seed=0, null_equals_null=null_equals_null)
+    assert out.repaired.rows == []
+    assert out.changes() == []
+    assert out.cells_changed == 0
+    for fd in fds:
+        assert violates(rel, fd, null_equals_null) == []
+        d = DisjointSetForest(rel.tid_array())
+        update_dsf(rel, fd, d, null_equals_null)
+        assert d.classes() == []
+        assert d.class_count == 0
+        assert len(d.roots()) == 0
+    assert vio(rel, "b", fds, random.Random(0), null_equals_null) == set()
 
 
 def test_change_log_replays(hospital_snippet, hospital_fds):
@@ -182,9 +205,13 @@ def test_changes_are_the_net_difference(k, null_rate, fn, null_equals_null,
     cells = [(tid, a) for tid, a, _, _ in changes]
     assert len(set(cells)) == len(cells)
     assert all(old != new for _, _, old, new in changes)
+    per_attribute = Counter(a for _, a, _, _ in changes)
     for c in out.classes:
         assert c.cells_changed == sum(a in c.attributes
                                       for _, a, _, _ in changes)
+        assert sum(c.cells_changed_per_attribute.values()) == c.cells_changed
+        assert c.cells_changed_per_attribute == \
+            {a: per_attribute[a] for a in c.attributes}
     replay = rel.copy()
     for tid, a, old, new in changes:
         assert replay.get(tid, a) == old
