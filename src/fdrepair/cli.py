@@ -55,7 +55,6 @@ def _class_report(outcome):
         "priority": c.stats.priority,
         "vio_sizes": dict(c.stats.vio_sizes),
         "revisions": c.stats.revisions,
-        "sweep_reenqueues": c.stats.sweep_reenqueues,
         "cells_changed": c.cells_changed,
         "cells_changed_per_attribute": c.cells_changed_per_attribute,
         "duration_s": c.duration,

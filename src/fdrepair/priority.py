@@ -10,13 +10,13 @@ the relation's rows in order, records which tuples must end up with equal
 values; fixing an FD merges forest classes and rewrites every multi-valued
 class with the attribute's repair function. When a fix changes an
 attribute appearing in the lhs of an already-processed FD, that FD is
-flagged again for revision; unary FDs whose lhs attribute uses a
-preservative function skip that step. Cyclic unary classes of three or
-more attributes share one forest, built from every FD of the class before
-the first poll, which is what makes the skip sound there (see
-``shares_forest``). Once a revision has been skipped, a closing sweep
-after each drain flags anything still violated as a backstop; without a
-skip every FD provably holds, and no sweep runs.
+flagged again for revision. Unary FDs whose lhs attribute uses a
+preservative function skip that step, but only in classes where the skip
+is proven sound: cyclic unary classes of three or more attributes, which
+share one forest built from every FD of the class before the first poll
+(see ``shares_forest``), and, under NULL-equal semantics, classes of at
+most two attributes. Every FD of a class then holds once its repair
+drains.
 
 All of it runs on the relation's integer codes. One grouping primitive,
 ``group_rows``, turns an lhs into one group id per row, which
@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsf import DisjointSetForest
+# Nothing here calls violates; perfbench/trace.py wraps it here by name.
 from .fds import group_rows, mixed_rows, violates
 from .relation import NULL
 
@@ -65,8 +66,7 @@ class RepairStats:
     """Counters for one class repair."""
     fixes_per_fd: Counter = field(default_factory=Counter)
     polls_per_fd: Counter = field(default_factory=Counter)
-    revisions: int = 0  # closing-sweep flags included
-    sweep_reenqueues: int = 0  # FDs the closing sweep flagged again
+    revisions: int = 0
     vio_sizes: dict = field(default_factory=dict)
     priority: list = field(default_factory=list)
 
@@ -304,11 +304,14 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
 def skip_revision_unary(fd, functions):
     """Unary FDs whose lhs attribute repairs preservatively never need revision.
 
-    With one forest per attribute this holds for classes of at most two
-    attributes; larger cyclic classes get one shared forest instead (see
-    ``shares_forest``), under which it holds again. Under NULL-unequal
-    semantics it can still fail, so ``priority_repair`` closes with a sweep
-    of the class's FDs whenever this rule has skipped a revision.
+    This is the per-FD test; ``priority_repair`` applies it only in classes
+    where it is proven. With one forest per attribute it holds for classes
+    of at most two attributes under NULL-equal semantics; under NULL-unequal
+    semantics a vote can turn a NULL into a constant and so make lhs groups
+    the other attribute's forest never merged. Larger cyclic classes share
+    one forest instead (see ``shares_forest``), and there it holds under
+    either semantics. Elsewhere, such as in a class of three or more
+    attributes that a non-unary FD enters, every revision is made.
     """
     if len(fd.lhs) != 1:
         return False
@@ -355,55 +358,45 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, priority=None,
     stats.priority = list(priority or [])
     ordered = pilots + rest
     pending = [True] * len(ordered)  # polled lowest index first
-    if shares_forest(class_attrs, fds_i, functions):
-        shared = DisjointSetForest(rel.tid_array())
+    shared = shares_forest(class_attrs, fds_i, functions)
+    if shared:
+        forest = DisjointSetForest(rel.tid_array())
         for fd in ordered:
-            update_dsf(rel, fd, shared, null_equals_null)
-        forests = dict.fromkeys(class_attrs, shared)
+            update_dsf(rel, fd, forest, null_equals_null)
+        forests = dict.fromkeys(class_attrs, forest)
     else:
         entered = {fd.rhs for fd in ordered}
         forests = {a: DisjointSetForest(rel.tid_array())
                    for a in class_attrs if a in entered}
+    # where the unary-revision shortcut is proven (see skip_revision_unary)
+    skip = skip_unary_revision and (
+        shared or (len(cls) <= 2 and null_equals_null))
 
     # Termination guard: every productive pass merges forest classes, so
     # polls are bounded by roughly |fds_i| * (n + 1).
     budget = (len(ordered) + 1) * (len(rel) + 2)
-    skipped = False  # whether a revision was ever skipped
-    while True:
-        while True in pending:
-            budget -= 1
-            if budget < 0:
-                raise RepairInvariantError(
-                    "priority repair exceeded its iteration bound")
-            i = pending.index(True)
-            pending[i] = False
-            fd = ordered[i]
-            stats.polls_per_fd[fd] += 1
-            fixes = fix(rel, fd, forests[fd.rhs], functions[fd.rhs], rng,
-                        null_equals_null)
-            stats.fixes_per_fd[fd] += fixes
-            if fixes:
-                for j, other in enumerate(ordered):
-                    if pending[j] or fd.rhs not in other.lhs:
-                        continue
-                    if skip_unary_revision and skip_revision_unary(other, functions):
-                        skipped = True
-                        continue
-                    pending[j] = True
-                    stats.revisions += 1
-        # Closing sweep: the backstop for the unary-revision shortcut, which
-        # flags again anything a skipped revision left violated. Without a
-        # skip, each FD X -> a was polled after the last write to X, which
-        # left the X groups inside uniform classes of a's forest, and every
-        # later write to a rewrites whole classes of that forest: X -> a
-        # still holds, shared forests included, under either NULL semantics.
-        if not skipped:
-            return stats
-        still_bad = [j for j, fd in enumerate(ordered)
-                     if violates(rel, fd, null_equals_null)]
-        if not still_bad:
-            return stats
-        for j in still_bad:
-            pending[j] = True
-        stats.revisions += len(still_bad)
-        stats.sweep_reenqueues += len(still_bad)
+    while True in pending:
+        budget -= 1
+        if budget < 0:
+            raise RepairInvariantError(
+                "priority repair exceeded its iteration bound")
+        i = pending.index(True)
+        pending[i] = False
+        fd = ordered[i]
+        stats.polls_per_fd[fd] += 1
+        fixes = fix(rel, fd, forests[fd.rhs], functions[fd.rhs], rng,
+                    null_equals_null)
+        stats.fixes_per_fd[fd] += fixes
+        if fixes:
+            for j, other in enumerate(ordered):
+                if pending[j] or fd.rhs not in other.lhs:
+                    continue
+                if skip and skip_revision_unary(other, functions):
+                    continue
+                pending[j] = True
+                stats.revisions += 1
+    # Every FD X -> a holds here. Unless its revision was skipped where that
+    # is proven, it was polled after the last write to X, which left the X
+    # groups inside uniform classes of a's forest; every later write to a
+    # rewrites whole classes of that forest.
+    return stats

@@ -121,6 +121,10 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
     the schema and ValueError for an override of a class that does not
     exist, or that leaves out, repeats or adds to the attributes of its
     class, before anything is repaired.
+
+    ``skip_unary_revision`` takes the paper's unary-revision shortcut in the
+    classes where it is proven; ``False`` makes every revision, the
+    reference path that tests compare the shortcut against.
     """
     t0 = time.perf_counter()
     cover, part, non_repairable = plan(fds, rel.schema, null_equals_null)

@@ -51,20 +51,30 @@ def test_repair_report_matches_schema(workdir):
     jsonschema.validate(json.loads(report.read_text()), schema)
 
 
-def test_repair_report_counts_sweep_reenqueues(tmp_path):
+def test_repair_report_null_unequal_pair_revises(tmp_path):
     # a two-attribute cycle with a pilot FD into each attribute, under
-    # NULL-unequal semantics: the closing sweep flags b -> a once more
+    # NULL-unequal semantics: the unary-revision shortcut is not taken, so
+    # the {a, b} class makes both revisions and repairs as the run making
+    # every revision does
     data, fds, report = (tmp_path / n for n in ("d.csv", "f.txt", "r.json"))
     data.write_text("p,q,a,b\n,1,1,0\n,1,1,0\n,0,0,\n1,1,0,1\n2,1,0,2\n"
                     "0,1,,2\n1,0,,2\n0,,,\n")
     fds.write_text("p -> a\nq -> b\na -> b\nb -> a\n")
+    out = tmp_path / "out.csv"
     assert main(["repair", "--data", str(data), "--fds", str(fds),
-                 "--out", str(tmp_path / "out.csv"), "--report", str(report),
+                 "--out", str(out), "--report", str(report),
                  "--null-unequal", "--seed", "0"]) == 0
     classes = json.loads(report.read_text())["classes"]
-    assert [(c["attributes"], c["revisions"], c["sweep_reenqueues"])
-            for c in classes] == [(["p"], 0, 0), (["q"], 0, 0),
-                                  (["a", "b"], 1, 1)]
+    assert [(c["attributes"], c["revisions"]) for c in classes] == [
+        (["p"], 0), (["q"], 0), (["a", "b"], 2)]
+    rel = load_csv(data)
+    rules = load_fds(fds, rel.schema)
+    reference = swipe(rel, rules, seed=0, null_equals_null=False,
+                      skip_unary_revision=False).repaired
+    repaired = load_csv(out)
+    assert repaired.rows == reference.rows
+    for fd in rules:
+        assert violates(repaired, fd, False) == []
     schema = json.loads(resources.files("fdrepair")
                         .joinpath("report_schema.json").read_text())
     jsonschema.validate(json.loads(report.read_text()), schema)

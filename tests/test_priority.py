@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fdrepair import (FD, DisjointSetForest, Relation, Schema,
-                      estimate_priority, fix, minimal_cover, pilot_fds,
+                      estimate_priority, fix, minimal_cover, pilot_fds, swipe,
                       update_dsf, vio, violates)
-import fdrepair.priority as engine
 from fdrepair.partition import fds_entering_at
 from fdrepair.priority import (_GRID_PER_ROW, RepairStats, _tally,
-                               priority_repair, skip_revision_unary, vio_fd)
+                               priority_repair, shares_forest,
+                               skip_revision_unary, vio_fd)
 from fdrepair.repair_functions import BUILTINS, MV, WV, RepairFunction
 from fdrepair.swipe import plan, resolve_functions
 
@@ -460,11 +460,64 @@ def test_priority_repair_only_touches_class(hospital_snippet, hospital_fds):
         assert rel.column(attr) == hospital_snippet.column(attr)
 
 
+def null_pair():
+    """A two-attribute class {a, b} with a pilot FD into each attribute,
+    NULLs in every column."""
+    rel = Relation(Schema(["p", "q", "a", "b"]))
+    rows = [[None, "1", "1", "0"], [None, "1", "1", "0"],
+            [None, "0", "0", None], ["1", "1", "0", "1"], ["2", "1", "0", "2"],
+            ["0", "1", None, "2"], ["1", "0", None, "2"], ["0", None, None, None]]
+    for tid, row in enumerate(rows, 1):
+        rel.append(tid, row)
+    return rel, [FD(frozenset("p"), "a"), FD(frozenset("q"), "b"),
+                 FD(frozenset("a"), "b"), FD(frozenset("b"), "a")]
+
+
+def unary_revisions(rel, fds, cls, skip, **kwargs):
+    """Polls past the first of the unary FDs in one ``mv`` class repair."""
+    stats = priority_repair(rel.copy(), fds, cls,
+                            resolve_functions(rel.schema, "mv"),
+                            random.Random(0), skip_unary_revision=skip,
+                            **kwargs)
+    return sum(n - 1 for fd, n in stats.polls_per_fd.items()
+               if len(fd.lhs) == 1)
+
+
 def test_skip_revision_unary_rules():
     fns = {"a": MV, "b": RepairFunction("custom", False, lambda *a: None)}
     assert skip_revision_unary(FD(frozenset("a"), "c"), fns)
     assert not skip_revision_unary(FD(frozenset("ab"), "c"), fns)
     assert not skip_revision_unary(FD(frozenset("b"), "c"), fns)
+
+    # the class-level rule: each fixture revises a unary FD when every
+    # revision is made; the shortcut then saves all of them or none
+    def revisions(rel, fds, cls, **kwargs):
+        taken, reference = (unary_revisions(rel, fds, cls, skip, **kwargs)
+                            for skip in (True, False))
+        assert reference > 0
+        return taken, reference
+
+    # three attributes and a non-unary FD into the class: no shortcut
+    rel = Relation(Schema(["p", "a", "b", "c"]))
+    for tid, row in enumerate(["0010", "1111", "0010", "1101", "1001",
+                               "0000", "1010", "0110"], 1):
+        rel.append(tid, list(row))
+    fds = [FD(frozenset("a"), "b"), FD(frozenset("b"), "c"),
+           FD(frozenset("cp"), "a")]
+    taken, reference = revisions(rel, fds, list("abc"))
+    assert taken == reference
+    # two attributes: shortcut under NULL-equal semantics only
+    rel, fds = null_pair()
+    taken, reference = revisions(rel, fds, ["a", "b"],
+                                 null_equals_null=False)
+    assert taken == reference
+    taken, reference = revisions(rel, fds, ["a", "b"])
+    assert taken == 0
+    # a cyclic class sharing one forest: shortcut
+    rel, fds, cycle = planted_cycle(3, 0)
+    assert shares_forest(cycle, fds, resolve_functions(rel.schema, "mv"))
+    taken, reference = revisions(rel, fds, cycle)
+    assert taken == 0
 
 
 def test_skip_rule_matches_no_skip_output():
@@ -486,19 +539,12 @@ def test_skip_rule_matches_no_skip_output():
     assert outs[0] == outs[1]
 
 
-def test_closing_sweep_reenqueues_counted_apart():
-    # under NULL-unequal semantics the unary-revision shortcut leaves b -> a
-    # violated here; the closing sweep flags it again, and that flag is
-    # counted both as a revision and as a sweep re-enqueue
-    rel = Relation(Schema(["p", "q", "a", "b"]))
-    rows = [[None, "1", "1", "0"], [None, "1", "1", "0"],
-            [None, "0", "0", None], ["1", "1", "0", "1"], ["2", "1", "0", "2"],
-            ["0", "1", None, "2"], ["1", "0", None, "2"], ["0", None, None, None]]
-    for tid, row in enumerate(rows, 1):
-        rel.append(tid, row)
-    fds = [FD(frozenset("p"), "a"), FD(frozenset("q"), "b"),
-           FD(frozenset("a"), "b"), FD(frozenset("b"), "a")]
-    counts = []
+def test_null_unequal_pair_takes_no_shortcut():
+    # under NULL-unequal semantics the unary-revision shortcut is not taken
+    # in a two-attribute class: the {a, b} class makes both revisions and
+    # repairs as the run making every revision does
+    rel, fds = null_pair()
+    outs = []
     for skip in (True, False):
         work = rel.copy()
         stats = priority_repair(work, fds, ["a", "b"],
@@ -507,8 +553,9 @@ def test_closing_sweep_reenqueues_counted_apart():
                                 skip_unary_revision=skip)
         for fd in fds:
             assert violates(work, fd, False) == []
-        counts.append((stats.revisions, stats.sweep_reenqueues))
-    assert counts == [(1, 1), (2, 0)]
+        assert stats.revisions == 2
+        outs.append(work.rows)
+    assert outs[0] == outs[1]
 
 
 def random_instance(seed):
@@ -528,43 +575,32 @@ def random_instance(seed):
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_closing_sweep_runs_only_after_a_skipped_revision(seed):
-    # every cover FD of a class holds once the class is repaired, every
-    # input FD holds once all classes are, and the closing sweep (the
-    # engine's only violates calls) runs only in a class where a revision
-    # was skipped
+@example(7)
+@example(130)
+def test_shortcut_changes_nothing(seed):
+    # every cover FD of a class holds once the class is repaired, and
+    # swipe (whose final check raises on a violated input FD) gives the
+    # same output with the unary-revision shortcut as without it; seeds 7
+    # and 130 differed when the shortcut was taken in every class
     rel, fds = random_instance(seed)
-    skips, sweeps = [], []
-
-    def skip_spy(fd, functions):
-        skip = skip_revision_unary(fd, functions)
-        skips.append(skip)
-        return skip
-
-    def sweep_spy(rel, fd, null_equals_null=True):
-        sweeps.append(fd)
-        return violates(rel, fd, null_equals_null)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "skip_revision_unary", skip_spy)
-        mp.setattr(engine, "violates", sweep_spy)
-        for null_equals_null in (True, False):
-            cover, part, _ = plan(fds, rel.schema, null_equals_null)
-            for fn in ("mv", "wv", "max"):
-                work, rng = rel.copy(), random.Random(seed)
-                functions = resolve_functions(work.schema, fn)
-                for i, cls in enumerate(part.classes, start=1):
-                    fds_i = fds_entering_at(cover, part, i)
-                    skips.clear()
-                    sweeps.clear()
-                    priority_repair(work, fds_i, cls, functions, rng,
-                                    null_equals_null=null_equals_null)
-                    assert any(skips) or not sweeps, (fn, cls)
-                    for fd in fds_i:
-                        assert violates(work, fd, null_equals_null) == [], (
-                            fn, null_equals_null, fd)
-                for fd in fds:
+    for null_equals_null in (True, False):
+        cover, part, _ = plan(fds, rel.schema, null_equals_null)
+        for fn in ("mv", "wv", "max"):
+            work, rng = rel.copy(), random.Random(seed)
+            functions = resolve_functions(work.schema, fn)
+            for i, cls in enumerate(part.classes, start=1):
+                fds_i = fds_entering_at(cover, part, i)
+                priority_repair(work, fds_i, cls, functions, rng,
+                                null_equals_null=null_equals_null)
+                for fd in fds_i:
                     assert violates(work, fd, null_equals_null) == [], (
                         fn, null_equals_null, fd)
+            taken, reference = (
+                swipe(rel, fds, repair_fn=fn, seed=seed,
+                      null_equals_null=null_equals_null,
+                      skip_unary_revision=skip).repaired.rows
+                for skip in (True, False))
+            assert taken == reference, (fn, null_equals_null)
 
 
 def planted_cycle(k, seed, null_rate=0.1):
