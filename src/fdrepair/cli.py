@@ -39,11 +39,13 @@ def _load_priority_file(path):
     override = {}
     with open(path, encoding="utf-8") as fh:
         for line in rule_lines(fh):
-            index, _, order = line.partition(":")
-            if not _:
-                raise ValueError("malformed priority line %r, "
-                                 "expected 'class_index: a > b'" % line)
-            override[int(index)] = [a.strip() for a in order.split(">")]
+            try:  # no colon, or an index that is not an integer
+                index, order = line.split(":", 1)
+                index = int(index)
+            except ValueError:
+                raise ValueError("malformed priority line %r, expected "
+                                 "'class_index: a > b'" % line) from None
+            override[index] = [a.strip() for a in order.split(">")]
     return override
 
 
@@ -90,7 +92,8 @@ def cmd_repair(args):
 
 def cmd_partition(args):
     rel, fds = _load_inputs(args)
-    cover, part, non_rep = plan(fds, rel.schema)
+    cover, part, non_rep = plan(fds, rel.schema,
+                                null_equals_null=not args.null_unequal)
     for i, cls in enumerate(part.classes, start=1):
         print("C%d: %s" % (i, ", ".join(cls)))
         pilots, rest = pilot_fds(cls, fds_entering_at(cover, part, i))
@@ -161,6 +164,10 @@ def build_parser():
         p.add_argument("--tid-column", default=None,
                        help="CSV column holding tuple ids (default: row order)")
 
+    def add_semantics(p):
+        p.add_argument("--null-unequal", action="store_true",
+                       help="treat NULL as unequal to NULL when grouping")
+
     p = sub.add_parser("repair", help="repair a CSV file against an FD file")
     p.add_argument("--data", required=True)
     p.add_argument("--fds", required=True)
@@ -171,20 +178,18 @@ def build_parser():
     p.add_argument("--priority-file",
                    help="manual priority, 'class_index: a > b' lines")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--null-unequal", action="store_true",
-                   help="treat NULL as unequal to NULL when grouping")
+    add_semantics(p)
     add_io(p)
     p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser(
-        "partition",
-        help="show the induced attribute partition (NULL-equal cover)",
+        "partition", help="show the induced attribute partition",
         description="List the induced attribute partition and each class's "
-                    "pilot and non-pilot FDs, from the minimal cover under "
-                    "NULL-equal semantics; 'repair --null-unequal' repairs "
-                    "the input FDs as given.")
+                    "pilot and non-pilot FDs: what 'repair' with the same "
+                    "--null-unequal setting repairs.")
     p.add_argument("--data", required=True)
     p.add_argument("--fds", required=True)
+    add_semantics(p)
     add_io(p)
     p.set_defaults(func=cmd_partition)
 

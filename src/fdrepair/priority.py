@@ -39,6 +39,7 @@ are called once per class on the whole bag. Results and the seeded rng
 stream are those of a row-by-row run.
 """
 
+import logging
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -48,6 +49,8 @@ from .dsf import DisjointSetForest
 # Nothing here calls violates; perfbench/trace.py wraps it here by name.
 from .fds import group_rows, mixed_rows, violates
 from .relation import NULL
+
+_log = logging.getLogger("fdrepair")
 
 # The largest (group, code) grid _tally sums on, in cells per row: its int64
 # totals then take at most 32 bytes a row, no more than np.unique allocates
@@ -387,6 +390,7 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, priority=None,
         fixes = fix(rel, fd, forests[fd.rhs], functions[fd.rhs], rng,
                     null_equals_null)
         stats.fixes_per_fd[fd] += fixes
+        _log.debug("poll %s: %d fixes", fd, fixes)
         if fixes:
             for j, other in enumerate(ordered):
                 if pending[j] or fd.rhs not in other.lhs:

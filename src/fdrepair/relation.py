@@ -11,21 +11,28 @@ equal codes mean equal values, so grouping and voting run on integer
 arrays (``codes``), as do tids (``tid_array``). ``rows``, ``column``,
 ``get``, ``row_of`` and ``tids`` decode. ``save_csv`` does not: it writes
 from the dictionaries, escaping each value once and emitting rows in blocks
-by indexing the escaped values with the codes. ``load_csv`` parses rows
-into one flat cell list, sliced per column, so it leaves no row lists for
-the cyclic garbage collector.
+by indexing the escaped values with the codes. ``load_csv`` reads the
+body in blocks of whole lines, each parsed into one flat cell list and
+sliced per column, so it leaves no row lists for the cyclic garbage
+collector. A block that ``csv.reader`` could not read differently (no
+``"``, NUL or lone ``\r``, every record as wide as the header) is cut with
+one ``str.split``; from the first block that fails that check to the end
+of the file, ``csv.reader`` parses it.
 """
 
 import csv
 import io
 import re
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
 NULL = 0  # the code of NULL in every attribute
-_CHUNK_ROWS = 4096  # rows load_csv parses before encoding, save_csv per write
+# rows per save_csv write and per csv.reader block of load_csv; its split
+# blocks are _CHUNK_ROWS * 4 characters: 16 per row read no faster, and
+# left a process that loads again and again holding more memory
+_CHUNK_ROWS = 4096
 _QUOTED = re.compile('[,"\r\n]').search  # characters csv.writer quotes
 
 
@@ -128,11 +135,13 @@ class Relation:
 
     def _extend(self, tids, columns):
         """Append rows given as their int64 tids, which the caller has
-        checked are new, and one cell sequence per attribute. Storage grows
-        geometrically, so appending costs amortized O(1) per cell."""
+        checked are new, and one cell sequence per attribute. Empty storage
+        takes the rows exactly; after that it grows to the next power of two
+        rows, so appending costs amortized O(1) per cell, and a load's
+        memory does not depend on how many rows each of its blocks holds."""
         n, end = self._n, self._n + len(tids)
         if end > len(self._tids):
-            spare = max(end, 2 * n, 16) - n
+            spare = (1 << (end - 1).bit_length() if n else end) - n
             self._data = np.pad(self._data[:, :n], ((0, 0), (0, spare)))
             self._tids = np.pad(self._tids[:n], (0, spare))
         self._tids[n:end] = tids
@@ -244,23 +253,76 @@ def _raise_first_fault(path, tids, fault=None):
         raise ValueError("%s:%d: %s" % (path, _line_of(path, record), message))
 
 
+def _blocks(fh, width):
+    """The records left in the open CSV file ``fh``, as one (cells, fields)
+    pair per block: the block's cells in one flat list, and an int64 array
+    of each record's field count.
+
+    A block is ``_CHUNK_ROWS * 4`` characters read at once and completed
+    to the end of its line. It is cut with one ``str.split`` if
+    ``csv.reader`` could not read it differently: it holds no ``"``, NUL
+    or ``\r`` outside a ``\r\n``, is no longer than
+    ``csv.field_size_limit()``, and the separator bytes show every record
+    with ``width`` fields, ``width`` being 2 or more so that a blank line
+    shows. UTF-8 never puts ``,`` or ``\n`` inside a multi-byte character.
+    (``str.splitlines`` would also break at ``\x0b``, ``\x85``,
+    ``\u2028`` and others, which ``csv.reader`` keeps in a cell.) From the
+    first block that fails a check to the end of the file, ``csv.reader``
+    parses ``_CHUNK_ROWS`` records at a time, so a quoted cell may span
+    lines and blocks, and each error is its own.
+    """
+    limit = csv.field_size_limit()
+    while block := fh.read(_CHUNK_ROWS * 4):
+        block += fh.readline()
+        text = block.replace("\r\n", "\n")
+        if (width < 2 or len(block) > limit or '"' in text or "\0" in text
+                or "\r" in text):
+            break
+        if not text.endswith("\n"):  # the file's last line
+            text += "\n"
+        # each line end is the width-th separator after the one before
+        data = np.frombuffer(text.encode(), dtype=np.uint8)
+        seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+        lines = text.count("\n")
+        if (len(seps) != width * lines
+                or (data[seps[width - 1::width]] != ord("\n")).any()):
+            break
+        cells = text.replace("\n", ",").split(",")
+        cells.pop()  # the empty string after the last line end
+        yield cells, np.full(lines, width)
+    reader = csv.reader(chain(io.StringIO(block, newline=""), fh))
+    # ends[i] counts the cells through the block's record i; each record's
+    # list is freed as soon as its cells are appended to cells
+    cells = []
+    while (ends := np.fromiter(map(len, map(cells.__iadd__, islice(
+            reader, _CHUNK_ROWS))), dtype=np.int64)).size:
+        yield cells, np.diff(ends, prepend=0)
+        cells.clear()
+
+
 def load_csv(path, null_token="", tid_column=None):
     """Read a relation from a headered CSV file.
 
     Cells equal to ``null_token`` become NULL. If ``tid_column`` is given,
     that column supplies the tids (unique int64 integers); otherwise tids
-    are assigned 1..n in row order. Each chunk of rows is parsed into one
-    flat cell list and each column encoded from a strided slice of it, so
-    no row list outlives its parse and a load leaves the cyclic garbage
-    collector nothing to do. Errors name the line where the bad row starts:
-    of the ragged rows, malformed tids and repeated tids, the first in the
-    file, whatever the chunk size. Repeats are looked for once: after the
-    last row, or on a ragged row or malformed tid, among the rows before it.
+    are assigned 1..n in row order.
+
+    ``csv.reader`` reads the header, and ``_blocks`` the body: a block of
+    lines with no ``"``, NUL or lone ``\r``, every record as wide as the
+    header, is cut with one ``str.split``, and from the first block that is
+    not, ``csv.reader`` parses the rest of the file. The cells are
+    ``csv.reader``'s either way. Each block's cells form one flat list whose
+    strided slices encode the columns, so no row list outlives its parse
+    and a load leaves the cyclic garbage collector nothing to do.
+
+    Errors name the line where the bad row starts: of the ragged rows,
+    malformed tids and repeated tids, the first in the file, whatever the
+    block size. Repeats are looked for once: after the last row, or on a
+    ragged row or malformed tid, among the rows before it.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError("%s: empty file, expected a header row" % path) from None
         tid_idx = None
@@ -273,19 +335,15 @@ def load_csv(path, null_token="", tid_column=None):
         width = len(header) + (tid_idx is not None)
         for d in rel._dicts:
             d[null_token] = NULL
-        # ends[i] counts the cells in flat through the chunk's row i; each
-        # row list is freed as soon as its cells are appended to flat
-        flat, start = [], 0  # start: the chunk's first row
-        while (ends := np.fromiter(map(len, map(flat.__iadd__, islice(
-                reader, _CHUNK_ROWS))), dtype=np.int64)).size:
-            fields = np.diff(ends, prepend=0)
+        start = 0  # the block's first record
+        for flat, fields in _blocks(fh, width):
             ragged = np.flatnonzero(fields != width)
             # the rows before the first ragged one are well formed, and a bad
             # tid among them comes first in the file
-            n = int(ragged[0]) if len(ragged) else len(ends)
+            n = int(ragged[0]) if len(ragged) else len(fields)
             del flat[n * width:]
             columns = [flat[j::width] for j in range(width)]
-            fault = None  # (index, message) of the chunk's first bad record
+            fault = None  # (index, message) of the block's first bad record
             if len(ragged):
                 fault = start + n, "expected %d fields, got %d" % (
                     width, fields[n])
@@ -307,8 +365,7 @@ def load_csv(path, null_token="", tid_column=None):
                 _raise_first_fault(
                     path, np.concatenate((rel.tid_array(), tids)), fault)
             rel._extend(tids, columns)
-            start += len(ends)
-            flat.clear()
+            start += len(fields)
     _raise_first_fault(path, rel.tid_array())
     for d in rel._dicts:
         del d[null_token]

@@ -6,8 +6,11 @@ input FD on return (checked by a full violation sweep), and attributes
 outside the cover are byte-identical to the input. A repair's changes are
 the cells in which the copy differs from the input, counted per class as
 each class is repaired and decoded when read (``RepairOutcome.changes``).
+Each class repaired logs one INFO line to the ``fdrepair`` logger, and
+each poll within it one DEBUG line.
 """
 
+import logging
 import random
 import time
 from dataclasses import dataclass
@@ -21,6 +24,8 @@ from .partition import (build_preorder, induced_partition, fds_entering_at,
 from .priority import RepairInvariantError, RepairStats, priority_repair
 from .relation import SchemaError
 from .repair_functions import get_function, RepairFunction
+
+_log = logging.getLogger("fdrepair")
 
 
 @dataclass
@@ -163,6 +168,10 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
                    for a in cls}
         outcomes.append(ClassOutcome(list(cls), stats,
                                      time.perf_counter() - tc, changed))
+        _log.info("class %d of %d %s: %d polls, %d revisions, %d cells "
+                  "changed, %.3f s", i, len(part.classes), cls,
+                  sum(stats.polls_per_fd.values()), stats.revisions,
+                  outcomes[-1].cells_changed, outcomes[-1].duration)
 
     for fd in fds:
         if violates(repaired, fd, null_equals_null):

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import settings
 
 from fdrepair import FD, Relation, Schema
+
+# more examples for the property tests: pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture

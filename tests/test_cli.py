@@ -143,6 +143,36 @@ def test_repair_priority_file_malformed_line(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("index", ["x", "1.5", ""])
+def test_repair_priority_file_index_not_an_integer(tmp_path, capsys, index):
+    line = "%s: d > c" % index
+    assert main(_priority_inputs(tmp_path, "1: b > a\n%s\n" % line)) == 1
+    assert ("malformed priority line %r, expected 'class_index: a > b'"
+            % line.strip() in capsys.readouterr().err)
+
+
+def test_partition_null_unequal_lists_what_repair_repairs(tmp_path, capsys):
+    # a -> c follows from a -> b and b -> c only where NULL equals NULL, so
+    # the NULL-equal cover drops it and the NULL-unequal cover keeps it
+    data, fds, report = (tmp_path / n for n in ("d.csv", "f.txt", "r.json"))
+    data.write_text("a,b,c\n1,1,1\n1,,2\n")
+    fds.write_text("a -> b\nb -> c\na -> c\n")
+    listings = []
+    for semantics in ([], ["--null-unequal"]):
+        assert main(["partition", "--data", str(data), "--fds", str(fds),
+                     *semantics]) == 0
+        listings.append(capsys.readouterr().out.splitlines())
+    head = ["C1: a", "C2: b", "  pilot:     a -> b", "C3: c",
+            "  pilot:     b -> c"]
+    assert listings == [head, head + ["  pilot:     a -> c"]]
+    assert main(["repair", "--data", str(data), "--fds", str(fds),
+                 "--out", str(tmp_path / "out.csv"), "--report", str(report),
+                 "--null-unequal", "--seed", "0"]) == 0
+    classes = json.loads(report.read_text())["classes"]
+    assert [sorted(c["polls_per_fd"]) for c in classes] == [
+        [], ["a -> b"], ["a -> c", "b -> c"]]
+
+
 def test_partition_listing(workdir, capsys):
     rc = main(["partition", "--data", str(workdir / "data.csv"),
                "--fds", str(workdir / "rules.txt")])

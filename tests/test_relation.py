@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import re
 
 import numpy as np
 import pytest
@@ -254,36 +255,154 @@ def test_load_csv_matches_csv_reader(tmp_path_factory, grid, chunk_rows):
     # the first ragged row, malformed tid (two ragged mutations of one row
     # can cancel out and leave the appended "a" in a last tid column) or
     # repeated tid is the error
-    tids, fault = [], None
-    for i, r in enumerate(parsed):
-        if len(r) != len(header):
-            fault = i, "expected"
-        elif not has_tid:
-            tids.append(i + 1)
-        elif not r[tid_at].lstrip("-").isdigit():
-            fault = i, "malformed tid"
-        elif int(r[tid_at]) in tids:
-            fault = i, "duplicate"
-        else:
-            tids.append(int(r[tid_at]))
-        if fault:
-            break
+    tids, fault = _first_fault(parsed, len(header), tid_at)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relation, "_CHUNK_ROWS", chunk_rows)
         if fault:
             i, error = fault
-            with pytest.raises(ValueError, match=r"g\.csv:%d: %s" % (
-                    line_of(i), error)):
+            with pytest.raises(ValueError, match=r"g\.csv:%d: %s$" % (
+                    line_of(i), re.escape(error))):
                 load_csv(p, null_token=NULL_TOKEN,
                          tid_column="tid" if has_tid else None)
             return
         rel = load_csv(p, null_token=NULL_TOKEN,
                        tid_column="tid" if has_tid else None)
+    _assert_loaded(rel, header, parsed, tids, tid_at)
+
+
+def _first_fault(records, width, tid_at):
+    """The tids load_csv gives the data ``records`` before their first
+    fault, and that fault as (index, message), or None: a record without
+    ``width`` fields, a tid that is not an int64 integer, or a repeat."""
+    tids = []
+    for i, r in enumerate(records):
+        if len(r) != width:
+            return tids, (i, "expected %d fields, got %d" % (width, len(r)))
+        if tid_at is None:
+            tids.append(i + 1)
+            continue
+        try:
+            tid = int(r[tid_at])
+        except ValueError:
+            tid = None
+        if tid is None or not -2**63 <= tid < 2**63:
+            return tids, (i, "malformed tid %r" % r[tid_at])
+        if tid in tids:
+            return tids, (i, "duplicate tid %d" % tid)
+        tids.append(tid)
+    return tids, None
+
+
+def _assert_loaded(rel, header, records, tids, tid_at):
     keep = [j for j in range(len(header)) if j != tid_at]
     assert rel.schema.attributes == [header[j] for j in keep]
     assert rel.tids == tids
     assert [rel.column(header[j]) for j in keep] == [
-        [None if r[j] == NULL_TOKEN else r[j] for r in parsed] for j in keep]
+        [None if r[j] == NULL_TOKEN else r[j] for r in records] for j in keep]
+
+
+# Raw text, not csv.writer's: "\x0b", "\x85" and "\u2028" break lines for
+# str.splitlines but not for csv.reader
+RAW_CELL = st.text(alphabet="ab é?\x0b\x85\u2028", max_size=3)
+# how a line may break the rules a split block keeps; a quote may open a
+# cell that runs on over later lines
+SPECIAL = st.sampled_from(['"x,\ny"', '"\r\n"', 'a"b', '"', '""""', "a\0b",
+                           "a\rb"])
+
+
+@st.composite
+def raw_csv_texts(draw):
+    """The text of a CSV file, and whether its header has a ``tid`` column.
+    Most lines are rows of plain cells ending in ``\n`` or ``\r\n``; a
+    line may be blank, ragged, end in a lone ``\r`` or hold a quote, a NUL
+    or a lone ``\r``, and the last line end may be missing."""
+    width = draw(st.integers(1, 4))
+    tid_at = draw(st.one_of(st.none(), st.integers(0, width - 1)))
+    header = ["c%d" % j for j in range(width)]
+    if tid_at is not None:
+        header[tid_at] = "tid"
+    text = ",".join(header) + "\n"
+    for _ in range(draw(st.integers(0, 30))):
+        row = [draw(RAW_CELL) for _ in header]
+        if tid_at is not None:
+            row[tid_at] = str(draw(st.integers(-3, 40)))
+        kind = draw(st.sampled_from(
+            ["row"] * 8 + ["blank", "ragged", "special", "lone cr"]))
+        if kind == "blank":
+            row = []
+        elif kind == "ragged":
+            row = row[1:] if draw(st.booleans()) else row + ["a"]
+        elif kind == "special":
+            row[draw(st.integers(0, width - 1))] = draw(SPECIAL)
+        end = "\r" if kind == "lone cr" else draw(
+            st.sampled_from(["\n", "\r\n"]))
+        text += ",".join(row) + end
+    if draw(st.booleans()):  # no final line end
+        text = text[:-2] if text.endswith("\r\n") else text[:-1]
+    return text, tid_at is not None
+
+
+@given(raw_csv_texts(), st.integers(1, 5))
+@example(raw=("tid,c\n" + "".join("%d,x\n" % t for t in range(20))
+              + '20,"q\n,"\n21,y\n', True), chunk_rows=1)
+@example(raw=("c0,c1\n" + "a,b\n" * 12 + "\na,b\n", False), chunk_rows=2)
+@example(raw=("c0,c1\n" + "a,b\r\n" * 12 + "a\rb,c\n", False), chunk_rows=1)
+def test_load_csv_matches_csv_reader_on_raw_text(tmp_path_factory, raw,
+                                                  chunk_rows):
+    text, has_tid = raw
+    p = tmp_path_factory.mktemp("raw") / "r.csv"
+    p.write_bytes(text.encode())
+    # csv.reader is the oracle, down to the line each record starts on
+    records, starts, error = [], [], None
+    with open(p, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        while True:
+            starts.append(reader.line_num + 1)
+            try:
+                records.append(next(reader))
+            except StopIteration:
+                break
+            except csv.Error as exc:  # a NUL, before Python 3.11
+                error = str(exc)
+                break
+    tid_at = header.index("tid") if has_tid else None
+    tids, fault = _first_fault(records, len(header), tid_at)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation, "_CHUNK_ROWS", chunk_rows)
+        if fault or error:
+            with pytest.raises((ValueError, csv.Error)) as raised:
+                load_csv(p, null_token=NULL_TOKEN,
+                         tid_column="tid" if has_tid else None)
+            # csv.reader's error stops the block it falls in, so a fault in
+            # an earlier block comes first
+            expected = {error} - {None}
+            if fault:
+                expected.add("%s:%d: %s" % (p, starts[fault[0]], fault[1]))
+            assert str(raised.value) in expected
+            return
+        rel = load_csv(p, null_token=NULL_TOKEN,
+                       tid_column="tid" if has_tid else None)
+    _assert_loaded(rel, header, records, tids, tid_at)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, _CHUNK_ROWS])
+def test_load_csv_field_size_error_matches_csv_reader(tmp_path, chunk_rows):
+    # one block, or a split path up to the block with the long cell
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n" + "x,y\n" * 40 + "x," + "y" * 30 + "\n")
+    limit = csv.field_size_limit(20)
+    try:
+        with open(p, newline="", encoding="utf-8") as fh, \
+                pytest.raises(csv.Error) as expected:
+            list(csv.reader(fh))
+        with pytest.MonkeyPatch.context() as mp, \
+                pytest.raises(csv.Error) as raised:
+            mp.setattr(relation, "_CHUNK_ROWS", chunk_rows)
+            load_csv(p)
+    finally:
+        csv.field_size_limit(limit)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_save_csv_header_and_nulls(tmp_path):

@@ -1,3 +1,4 @@
+import logging
 import random
 from collections import Counter
 
@@ -17,6 +18,32 @@ def test_hospital_snippet_repair(hospital_snippet, hospital_fds):
     assert out.repaired.get(4, "#provider") == "10006"
     # the original relation is untouched
     assert hospital_snippet.get(4, "#provider") == "1x006"
+
+
+def test_logs_each_class_and_poll(hospital_snippet, hospital_fds, caplog):
+    with caplog.at_level(logging.DEBUG, logger="fdrepair"):
+        out = swipe(hospital_snippet, hospital_fds, seed=0)
+    assert {r.name for r in caplog.records} == {"fdrepair"}
+    info = [r.getMessage() for r in caplog.records
+            if r.levelno == logging.INFO]
+    polls = [r.getMessage() for r in caplog.records
+             if r.levelno == logging.DEBUG]
+    assert len(info) == len(out.classes)
+    for i, (line, c) in enumerate(zip(info, out.classes), start=1):
+        assert line.startswith("class %d of %d %s: %d polls, %d revisions, "
+                               "%d cells changed, " % (
+                                   i, len(out.classes), c.attributes,
+                                   sum(c.stats.polls_per_fd.values()),
+                                   c.stats.revisions, c.cells_changed))
+    assert Counter(line.partition(":")[0] for line in polls) == Counter({
+        "poll %s" % fd: n for c in out.classes
+        for fd, n in c.stats.polls_per_fd.items()})
+    assert sum(int(line.split()[-2]) for line in polls) == sum(
+        sum(c.stats.fixes_per_fd.values()) for c in out.classes)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="fdrepair"):
+        swipe(hospital_snippet, hospital_fds, seed=0)
+    assert [r.levelno for r in caplog.records] == [logging.INFO] * len(info)
 
 
 def test_already_clean_zero_changes(hospital_snippet, hospital_fds):
