@@ -7,8 +7,10 @@ cells it changed. Run with: python3 demos/hospital_walkthrough.py
 
 import random
 
-from fdrepair import (FD, Relation, Schema, build_preorder, estimate_priority,
-                      induced_partition, minimal_cover, swipe, vio)
+from fdrepair import FD, Relation, Schema, swipe
+from fdrepair.fds import minimal_cover
+from fdrepair.partition import build_preorder, induced_partition
+from fdrepair.priority import estimate_priority, vio
 
 rel = Relation(Schema(["hospital name", "#provider", "city",
                        "measure code", "condition"]))

@@ -14,6 +14,7 @@ from .fds import load_fds, rule_lines, save_fds
 from .partition import fds_entering_at
 from .priority import pilot_fds
 from .relation import load_csv, save_csv
+from .repair_functions import BUILTINS
 from .swipe import plan, swipe
 
 
@@ -28,10 +29,13 @@ def _load_fn_map(path):
     fn_map = {}
     with open(path, encoding="utf-8") as fh:
         for line in rule_lines(fh):
-            attr, _, name = line.partition("=")
+            attr, _, name = map(str.strip, line.partition("="))
             if not _:
                 raise ValueError("malformed fn-map line %r, expected attr=fn" % line)
-            fn_map[attr.strip()] = name.strip()
+            if attr in fn_map:
+                raise ValueError("fn-map line %r names attribute %r again"
+                                 % (line, attr))
+            fn_map[attr] = name
     return fn_map
 
 
@@ -45,6 +49,9 @@ def _load_priority_file(path):
             except ValueError:
                 raise ValueError("malformed priority line %r, expected "
                                  "'class_index: a > b'" % line) from None
+            if index in override:
+                raise ValueError("priority line %r names class %d again"
+                                 % (line, index))
             override[index] = [a.strip() for a in order.split(">")]
     return override
 
@@ -173,7 +180,7 @@ def build_parser():
     p.add_argument("--fds", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write a JSON run report here")
-    p.add_argument("--repair-fn", default="mv", choices=["mv", "wv", "max"])
+    p.add_argument("--repair-fn", default="mv", choices=list(BUILTINS))
     p.add_argument("--fn-map", help="per-attribute overrides, 'attribute=fn' lines")
     p.add_argument("--priority-file",
                    help="manual priority, 'class_index: a > b' lines")

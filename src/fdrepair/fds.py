@@ -48,19 +48,19 @@ def implies(fds, fd):
     return fd.rhs in attribute_closure(fd.lhs, fds)
 
 
+def nontrivial(fds):
+    """``fds`` without trivial FDs (rhs in lhs) or repeats, in input order."""
+    return [fd for fd in dict.fromkeys(fds) if fd.rhs not in fd.lhs]
+
+
 def minimal_cover(fds):
     """Equivalent FD list with irreducible left-hand sides and no redundant FDs.
 
-    Trivial FDs (rhs in lhs) are dropped. Left-hand sides are reduced one
-    attribute at a time against the full set; redundant FDs are then removed
-    in a fixed scan order, so the result is deterministic given input order.
+    ``nontrivial(fds)`` is reduced: left-hand sides one attribute at a time
+    against the full set, then redundant FDs in a fixed scan order, so the
+    result is deterministic given input order.
     """
-    work = []
-    for fd in fds:
-        if fd.rhs in fd.lhs:
-            continue
-        if fd not in work:
-            work.append(fd)
+    work = nontrivial(fds)
 
     # lhs reduction: drop attributes whose removal keeps the FD implied
     for i, fd in enumerate(work):
@@ -73,13 +73,8 @@ def minimal_cover(fds):
                 lhs.discard(b)
         work[i] = FD(frozenset(lhs), fd.rhs)
 
-    deduped = []
-    for fd in work:
-        if fd not in deduped:
-            deduped.append(fd)
-
     # redundancy elimination
-    cover = list(deduped)
+    cover = deduped = list(dict.fromkeys(work))
     for fd in deduped:
         rest = [f for f in cover if f != fd]
         if implies(rest, fd):
@@ -174,13 +169,10 @@ def rule_lines(lines):
 
 
 def parse_fds(text, schema=None):
-    """Parse an FD file body: one FD per line, ``#`` starts a comment."""
-    fds = []
-    for line in rule_lines(text.splitlines()):
-        fd = parse_fd(line, schema)
-        if fd not in fds:
-            fds.append(fd)
-    return fds
+    """Parse an FD file body: one FD per line, ``#`` starts a comment.
+    Repeats are dropped."""
+    return list(dict.fromkeys(parse_fd(line, schema)
+                              for line in rule_lines(text.splitlines())))
 
 
 def load_fds(path, schema=None):

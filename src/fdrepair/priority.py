@@ -161,10 +161,6 @@ def _minority_rows(rel, fd, rng, null_equals_null):
     return codes != winner
 
 
-def _tids_of(rel, mask):
-    return set(rel.tid_array()[mask].tolist())
-
-
 def _vio_rows(rel, a, cover, rng, null_equals_null):
     minority = np.zeros(len(rel), dtype=bool)
     for fd in cover:
@@ -173,14 +169,12 @@ def _vio_rows(rel, a, cover, rng, null_equals_null):
     return minority
 
 
-def vio_fd(rel, fd, rng, null_equals_null=True):
-    """Tuples whose rhs value differs from the per-group majority."""
-    return _tids_of(rel, _minority_rows(rel, fd, rng, null_equals_null))
-
-
 def vio(rel, a, cover, rng, null_equals_null=True):
-    """Union of vio_fd over all cover FDs with rhs == a."""
-    return _tids_of(rel, _vio_rows(rel, a, cover, rng, null_equals_null))
+    """Tids of the tuples whose ``a`` value differs from its lhs group's
+    majority under some FD of ``cover`` with rhs ``a``; ``vio(rel, fd.rhs,
+    [fd], rng)`` is the Vio of one FD."""
+    mask = _vio_rows(rel, a, cover, rng, null_equals_null)
+    return set(rel.tid_array()[mask].tolist())
 
 
 def estimate_priority(rel, class_attrs, cover, rng, null_equals_null=True):

@@ -34,6 +34,7 @@ NULL = 0  # the code of NULL in every attribute
 # left a process that loads again and again holding more memory
 _CHUNK_ROWS = 4096
 _QUOTED = re.compile('[,"\r\n]').search  # characters csv.writer quotes
+_TID = re.compile("-?[0-9]+").fullmatch
 
 
 class SchemaError(ValueError):
@@ -64,9 +65,6 @@ class Schema:
             return self._index[name]
         except KeyError:
             raise SchemaError("unknown attribute %r" % (name,)) from None
-
-    def indices(self, names):
-        return [self.index(n) for n in names]
 
 
 def _first_repeat(tids):
@@ -253,6 +251,30 @@ def _raise_first_fault(path, tids, fault=None):
         raise ValueError("%s:%d: %s" % (path, _line_of(path, record), message))
 
 
+def _tid(cell):
+    """The tid a tid column's ``cell`` spells: ASCII ``-?[0-9]+`` within
+    int64, as ``save_csv`` writes it. None for any other text."""
+    if _TID(cell) and -2**63 <= (tid := int(cell)) < 2**63:
+        return tid
+
+
+def _not_utf8(path):
+    """A ValueError naming the line and file offset of the first byte of
+    ``path`` that is not UTF-8. ``bytes.splitlines`` ends lines as
+    ``csv.reader`` does, and never inside a UTF-8 character."""
+    offset = 0
+    with open(path, "rb") as fh:
+        lines = (line for raw in fh for line in raw.splitlines(True))
+        for number, line in enumerate(lines, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValueError("%s:%d: byte 0x%02x at offset %d is not "
+                                  "UTF-8" % (path, number, line[exc.start],
+                                             offset + exc.start))
+            offset += len(line)
+
+
 def _blocks(fh, width):
     """The records left in the open CSV file ``fh``, as one (cells, fields)
     pair per block: the block's cells in one flat list, and an int64 array
@@ -316,56 +338,57 @@ def load_csv(path, null_token="", tid_column=None):
     and a load leaves the cyclic garbage collector nothing to do.
 
     Errors name the line where the bad row starts: of the ragged rows,
-    malformed tids and repeated tids, the first in the file, whatever the
-    block size. Repeats are looked for once: after the last row, or on a
-    ragged row or malformed tid, among the rows before it.
+    malformed tids (see ``_tid``) and repeated tids, the first in the file,
+    whatever the block size. Repeats are looked for once: after the last
+    row, or on a ragged row or malformed tid, among the rows before it. A
+    byte that is not UTF-8 is reported, with its line and file offset, as
+    soon as a read meets it.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ValueError("%s: empty file, expected a header row" % path) from None
-        tid_idx = None
-        if tid_column is not None:
-            if tid_column not in header:
-                raise SchemaError("tid column %r not in header" % (tid_column,))
-            tid_idx = header.index(tid_column)
-            header = header[:tid_idx] + header[tid_idx + 1:]
-        rel = Relation(Schema(header))
-        width = len(header) + (tid_idx is not None)
-        for d in rel._dicts:
-            d[null_token] = NULL
-        start = 0  # the block's first record
-        for flat, fields in _blocks(fh, width):
-            ragged = np.flatnonzero(fields != width)
-            # the rows before the first ragged one are well formed, and a bad
-            # tid among them comes first in the file
-            n = int(ragged[0]) if len(ragged) else len(fields)
-            del flat[n * width:]
-            columns = [flat[j::width] for j in range(width)]
-            fault = None  # (index, message) of the block's first bad record
-            if len(ragged):
-                fault = start + n, "expected %d fields, got %d" % (
-                    width, fields[n])
-            if tid_idx is None:
-                tids = np.arange(start + 1, start + 1 + n)
-            else:
-                cells = columns.pop(tid_idx)
-                try:
-                    tids = np.array(cells, dtype=np.int64)
-                except (ValueError, OverflowError):
-                    for i, cell in enumerate(cells):
-                        try:
-                            np.array(cell, dtype=np.int64)
-                        except (ValueError, OverflowError):
-                            fault = start + i, "malformed tid %r" % cell
-                            tids = np.array(cells[:i], dtype=np.int64)
-                            break
-            if fault is not None:
-                _raise_first_fault(
-                    path, np.concatenate((rel.tid_array(), tids)), fault)
-            rel._extend(tids, columns)
-            start += len(fields)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise ValueError("%s: empty file, expected a header row" % path) from None
+            tid_idx = None
+            if tid_column is not None:
+                if tid_column not in header:
+                    raise SchemaError("tid column %r not in header" % (tid_column,))
+                tid_idx = header.index(tid_column)
+                header = header[:tid_idx] + header[tid_idx + 1:]
+            rel = Relation(Schema(header))
+            width = len(header) + (tid_idx is not None)
+            for d in rel._dicts:
+                d[null_token] = NULL
+            start = 0  # the block's first record
+            for flat, fields in _blocks(fh, width):
+                ragged = np.flatnonzero(fields != width)
+                # the rows before the first ragged one are well formed, and
+                # a bad tid among them comes first in the file
+                n = int(ragged[0]) if len(ragged) else len(fields)
+                del flat[n * width:]
+                columns = [flat[j::width] for j in range(width)]
+                fault = None  # (index, message) of its first bad record
+                if len(ragged):
+                    fault = start + n, "expected %d fields, got %d" % (
+                        width, fields[n])
+                if tid_idx is None:
+                    tids = np.arange(start + 1, start + 1 + n)
+                else:
+                    cells = columns.pop(tid_idx)
+                    tids = list(map(_tid, cells))
+                    if None in tids:
+                        i = tids.index(None)
+                        fault = start + i, "malformed tid %r" % cells[i]
+                        del tids[i:]
+                    tids = np.array(tids, dtype=np.int64)
+                if fault is not None:
+                    _raise_first_fault(
+                        path, np.concatenate((rel.tid_array(), tids)), fault)
+                rel._extend(tids, columns)
+                start += len(fields)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     _raise_first_fault(path, rel.tid_array())
     for d in rel._dicts:
         del d[null_token]

@@ -14,6 +14,7 @@ class on its whole bag.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 
 def _break_tie(candidates, rng):
@@ -25,23 +26,16 @@ def _break_tie(candidates, rng):
     return rng.choice(sorted(set(pool)))
 
 
-def majority_vote(values, rng):
-    """A value of maximal multiplicity; ties resolved by the seeded rng."""
-    if not values:
-        raise ValueError("empty bag")
-    counts = Counter(values)
-    best = max(counts.values())
-    return _break_tie([v for v, c in counts.items() if c == best], rng)
-
-
-def weighted_vote(values, null_counts, schema_width, rng):
-    """Value with maximal summed weight (schema_width - N)**4, where N is
-    the NULL count of the source tuple of each bag entry."""
+def vote(values, null_counts, schema_width, rng, exponent):
+    """A value of largest summed weight ``(schema_width - N) ** exponent``
+    over the bag entries, N being the NULL count of each entry's tuple
+    (exponent 0: a plain majority). A constant beats NULL on a tie, and
+    tied constants are settled by ``rng.choice`` of them sorted."""
     if not values:
         raise ValueError("empty bag")
     weights = Counter()
-    for v, n in zip(values, null_counts):
-        weights[v] += (schema_width - n) ** 4
+    for v, n in zip(values, null_counts, strict=True):
+        weights[v] += (schema_width - n) ** exponent
     best = max(weights.values())
     return _break_tie([v for v, w in weights.items() if w == best], rng)
 
@@ -68,10 +62,8 @@ def max_value(values):
 class RepairFunction:
     """A named bag-to-value function plus its preservative capability flag.
 
-    A set ``vote_exponent`` e marks a voting function: it returns a value of
-    largest summed weight ``(schema_width - N) ** e`` over its bag entries,
-    N being the NULL count of each entry's tuple; a constant beats NULL on
-    a tie, and tied constants are settled by ``rng.choice`` of them sorted.
+    A set ``vote_exponent`` e marks a voting function, which picks as
+    ``vote(..., exponent=e)`` does; ``MV`` and ``WV`` are built from it.
     ``fix`` trusts the exponent: it votes on codes itself and calls the
     function only for a class whose top is tied, handing it the tied values
     once each at equal weight (no NULLs in their tuples), so ``_pick`` must
@@ -90,11 +82,8 @@ class RepairFunction:
         return value
 
 
-MV = RepairFunction("mv", True, lambda vs, ns, w, rng: majority_vote(vs, rng),
-                    vote_exponent=0)
-WV = RepairFunction("wv", True,
-                    lambda vs, ns, w, rng: weighted_vote(vs, ns, w, rng),
-                    vote_exponent=4)
+MV, WV = (RepairFunction(name, True, partial(vote, exponent=e),
+                         vote_exponent=e) for name, e in (("mv", 0), ("wv", 4)))
 MAX = RepairFunction("max", True, lambda vs, ns, w, rng: max_value(vs))
 
 BUILTINS = {fn.name: fn for fn in (MV, WV, MAX)}

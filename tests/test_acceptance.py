@@ -11,13 +11,15 @@ import time
 
 import pytest
 
-from fdrepair import (FD, DisjointSetForest, GenConfig, Relation, Schema,
-                      assert_maximally_refined, attribute_closure,
-                      build_preorder, check_forward_repairable, estimate_priority,
-                      evaluate, fix, generate, implies, induced_partition,
-                      load_csv, load_fds, minimal_cover, pilot_fds,
-                      update_dsf, vio, violates, swipe)
+from fdrepair import (FD, GenConfig, Relation, Schema, evaluate, generate,
+                      load_csv, load_fds, swipe)
 from fdrepair.cli import bench_cells
+from fdrepair.dsf import DisjointSetForest
+from fdrepair.fds import attribute_closure, implies, minimal_cover, violates
+from fdrepair.partition import (assert_maximally_refined, build_preorder,
+                                check_forward_repairable, induced_partition)
+from fdrepair.priority import (estimate_priority, fix, pilot_fds, update_dsf,
+                               vio)
 from fdrepair.repair_functions import MV
 
 pytestmark = pytest.mark.acceptance

@@ -6,9 +6,10 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from fdrepair import (load_csv, load_fds, minimal_cover, pilot_fds, swipe,
-                      violates)
+from fdrepair import load_csv, load_fds, swipe
 from fdrepair.cli import main
+from fdrepair.fds import minimal_cover, violates
+from fdrepair.priority import pilot_fds
 
 
 @pytest.fixture
@@ -117,6 +118,18 @@ def test_repair_fn_map_override(workdir):
     assert rc == 0
 
 
+def test_repair_fn_map_repeated_attribute(workdir, capsys):
+    fn_map = workdir / "fns.txt"
+    fn_map.write_text("a1 = max\na2=wv\na1=mv\n")
+    assert main(["repair", "--data", str(workdir / "data.csv"),
+                 "--fds", str(workdir / "rules.txt"),
+                 "--out", str(workdir / "r.csv"), "--fn-map", str(fn_map),
+                 "--seed", "0"]) == 1
+    assert ("fn-map line 'a1=mv' names attribute 'a1' again"
+            in capsys.readouterr().err)
+    assert not (workdir / "r.csv").exists()
+
+
 def _priority_inputs(tmp_path, priority_text):
     """Two cyclic classes, [a, b] and [c, d], and a priority file."""
     data, fds, prio = (tmp_path / n for n in ("d.csv", "f.txt", "p.txt"))
@@ -141,6 +154,14 @@ def test_repair_priority_file_malformed_line(tmp_path, capsys):
     assert main(_priority_inputs(tmp_path, "1: b > a\n2 d > c\n")) == 1
     assert ("malformed priority line '2 d > c'"
             in capsys.readouterr().err)
+
+
+def test_repair_priority_file_repeated_class(tmp_path, capsys):
+    argv = _priority_inputs(tmp_path, "1: b > a\n2: d > c\n 1 : a > b\n")
+    assert main(argv) == 1
+    assert ("priority line '1 : a > b' names class 1 again"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("index", ["x", "1.5", ""])
@@ -241,6 +262,15 @@ def test_missing_file_exits_nonzero(tmp_path, capsys):
                "--fds", str(tmp_path / "nope.txt")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_partition_non_utf8_csv(tmp_path, capsys):
+    data, fds = tmp_path / "d.csv", tmp_path / "f.txt"
+    data.write_bytes(b"a,b\n" + b"x,y\n" * 5000 + b"x,\xff\n")
+    fds.write_text("a -> b\n")
+    assert main(["partition", "--data", str(data), "--fds", str(fds)]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s:5002: byte 0xff at offset 20006 is not UTF-8\n" % data)
 
 
 def test_console_entry_point(workdir):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdrepair import DisjointSetForest, Relation, Schema
+from fdrepair import Relation, Schema
+from fdrepair.dsf import DisjointSetForest
 
 
 def merge_pairs(d, pairs):

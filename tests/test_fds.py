@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fdrepair import (FD, Relation, Schema, SchemaError, attribute_closure,
-                      implies, load_fds, minimal_cover, save_fds, violates)
-from fdrepair.fds import group_rows, mixed_rows, parse_fd, parse_fds
+from fdrepair import FD, Relation, Schema, SchemaError, load_fds, save_fds
+from fdrepair.fds import (attribute_closure, group_rows, implies,
+                          minimal_cover, mixed_rows, parse_fd, parse_fds,
+                          violates)
 
 
 def fd(lhs, rhs):
@@ -98,7 +99,7 @@ def test_violates_single_tuple():
 def violates_bruteforce(rel, f, null_equals_null):
     """Exhaustive pairwise check."""
     rows = rel.rows
-    lhs = rel.schema.indices(sorted(f.lhs))
+    lhs = list(map(rel.schema.index, sorted(f.lhs)))
     rhs = rel.schema.index(f.rhs)
     for r1, r2 in itertools.combinations(rows, 2):
         if not null_equals_null and any(r[i] is None for r in (r1, r2)
@@ -111,7 +112,7 @@ def violates_bruteforce(rel, f, null_equals_null):
 
 def violates_reference(rel, f, null_equals_null):
     """Row-by-row dict grouping: violated groups in order of first row."""
-    lhs = rel.schema.indices(sorted(f.lhs))
+    lhs = list(map(rel.schema.index, sorted(f.lhs)))
     rhs = rel.schema.index(f.rhs)
     groups = {}
     for tid, row in zip(rel.tids, rel.rows):
@@ -153,7 +154,7 @@ def test_group_rows_matches_dict_reference(rows, attrs, unused, null_equals_null
     n = len(rows)
     assert ids.shape == (n,)
     assert ((0 <= ids) & (ids < 3 * n + 2)).all()
-    idx = rel.schema.indices(attrs)
+    idx = list(map(rel.schema.index, attrs))
     group = {}  # key -> the reference's group number
     expected = []
     for r, row in enumerate(rows):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fdrepair import (FD, Schema, assert_maximally_refined, build_preorder,
-                      check_forward_repairable, induced_partition,
-                      minimal_cover)
-from fdrepair.partition import Partition, fds_entering_at
+from fdrepair import FD, Schema
+from fdrepair.fds import minimal_cover
+from fdrepair.partition import (Partition, assert_maximally_refined,
+                                build_preorder, check_forward_repairable,
+                                fds_entering_at, induced_partition)
 
 
 def fd(lhs, rhs):

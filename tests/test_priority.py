@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fdrepair import (FD, DisjointSetForest, Relation, Schema,
-                      estimate_priority, fix, minimal_cover, pilot_fds, swipe,
-                      update_dsf, vio, violates)
+from fdrepair import FD, Relation, Schema, swipe
+from fdrepair.dsf import DisjointSetForest
+from fdrepair.fds import minimal_cover, violates
 from fdrepair.partition import fds_entering_at
 from fdrepair.priority import (_GRID_PER_ROW, RepairStats, _tally,
+                               estimate_priority, fix, pilot_fds,
                                priority_repair, shares_forest,
-                               skip_revision_unary, vio_fd)
+                               skip_revision_unary, update_dsf, vio)
 from fdrepair.repair_functions import BUILTINS, MV, WV, RepairFunction
 from fdrepair.swipe import plan, resolve_functions
 
@@ -27,18 +28,20 @@ def sub_relation(rel, tids):
 
 def test_vio_fd_hospital(hospital_snippet):
     for seed in range(8):
-        out = vio_fd(hospital_snippet, NAME_PROV, random.Random(seed))
+        out = vio(hospital_snippet, NAME_PROV.rhs, [NAME_PROV],
+                  random.Random(seed))
         assert out in ({4, 5}, {4, 6})
 
 
 def test_vio_fd_satisfied(hospital_snippet):
-    assert vio_fd(hospital_snippet, PROV_NAME, random.Random(0)) == set()
+    assert vio(hospital_snippet, PROV_NAME.rhs, [PROV_NAME],
+               random.Random(0)) == set()
 
 
 def test_vio_fd_all_distinct_lhs(hospital_snippet):
     fd = FD(frozenset({"measure code"}), "city")
     rel = sub_relation(hospital_snippet, [2, 3, 4, 6])  # unique measure codes
-    assert vio_fd(rel, fd, random.Random(0)) == set()
+    assert vio(rel, fd.rhs, [fd], random.Random(0)) == set()
 
 
 def test_vio_hospital(hospital_snippet, hospital_fds):
@@ -134,7 +137,7 @@ def test_update_dsf_matches_components(rows, lhs, null_equals_null, rng):
             labels[row[t2]] = row[t1]
             d.merge(labels)
     update_dsf(rel, FD(frozenset(lhs), "c"), d, null_equals_null)
-    idx = rel.schema.indices(sorted(lhs))
+    idx = list(map(rel.schema.index, sorted(lhs)))
     keyed = [(tid, tuple(row[i] for i in idx)) for tid, row in zip(tids, rows)]
     same_key = [(t1, t2) for t1, k1 in keyed for t2, k2 in keyed
                 if k1 == k2 and (null_equals_null or None not in k1)]
@@ -158,7 +161,7 @@ def test_forest_over_other_tid_order_rejected(hospital_snippet):
 
 def vio_fd_reference(rel, fd, rng, null_equals_null):
     """Row-by-row majority per lhs group; ties drawn in first-row order."""
-    lhs = rel.schema.indices(sorted(fd.lhs))
+    lhs = list(map(rel.schema.index, sorted(fd.lhs)))
     rhs = rel.schema.index(fd.rhs)
     groups = {}
     for tid, row in zip(rel.tids, rel.rows):
@@ -202,7 +205,7 @@ class RowUnionFind:
 def fix_reference(rel, rows, fd, forest, fn, rng, null_equals_null):
     """Row-by-row fix on ``rows`` (mutated) with single unions in
     ``forest``, a ``RowUnionFind``; returns the number of fixes."""
-    lhs = rel.schema.indices(sorted(fd.lhs))
+    lhs = list(map(rel.schema.index, sorted(fd.lhs)))
     rhs = rel.schema.index(fd.rhs)
     first = {}
     for tid, row in zip(rel.tids, rows):
@@ -255,7 +258,7 @@ def test_vio_and_fix_match_row_loop_reference(rows, fn, null_equals_null,
     seed = rng.randrange(1000)
     for fd in (FD(frozenset("a"), "c"), FD(frozenset("ab"), "c")):
         got_rng, ref_rng = random.Random(seed), random.Random(seed)
-        assert vio_fd(rel, fd, got_rng, null_equals_null) == \
+        assert vio(rel, fd.rhs, [fd], got_rng, null_equals_null) == \
             vio_fd_reference(rel, fd, ref_rng, null_equals_null)
         assert got_rng.getstate() == ref_rng.getstate()
     forest, ref_forest = DisjointSetForest(tids), RowUnionFind(tids)
@@ -346,15 +349,15 @@ def test_vio_ties_of_mixed_types_settle_per_group():
     fd = FD(frozenset("a"), "b")
     for seed in range(8):
         got_rng, ref_rng = random.Random(seed), random.Random(seed)
-        assert vio_fd(rel, fd, got_rng) == vio_fd_reference(rel, fd, ref_rng,
-                                                            True)
+        assert vio(rel, fd.rhs, [fd], got_rng) == vio_fd_reference(
+            rel, fd, ref_rng, True)
         assert got_rng.getstate() == ref_rng.getstate()
 
 
 def test_vio_tie_of_incomparable_values_raises():
     rel = Relation(Schema(["a", "b"]), [1, 2], [["1", 1], ["1", "x"]])
     with pytest.raises(TypeError):
-        vio_fd(rel, FD(frozenset("a"), "b"), random.Random(0))
+        vio(rel, "b", [FD(frozenset("a"), "b")], random.Random(0))
 
 
 def tally_reference(groups, codes, weights):

@@ -106,7 +106,10 @@ def test_load_csv_duplicate_tid_across_chunks(tmp_path):
         load_csv(p, tid_column="tid")
 
 
-@pytest.mark.parametrize("cell", ["x", "1.5", str(2**63), str(-2**63 - 1)])
+# " 5", "+5", "1_0" and "\u0663" (Arabic-Indic three) are integers to int(),
+# but a tid cell is ASCII -?[0-9]+; here they would repeat tids 5, 10 and 3
+@pytest.mark.parametrize("cell", ["x", "1.5", str(2**63), str(-2**63 - 1),
+                                  " 5", "+5", "1_0", "\u0663"])
 def test_load_csv_bad_tid_names_its_line(tmp_path, cell):
     p = tmp_path / "d.csv"
     # distinct tids, so that the malformed one is the file's first fault
@@ -114,6 +117,25 @@ def test_load_csv_bad_tid_names_its_line(tmp_path, cell):
                  + "%s,y\n" % cell)
     with pytest.raises(ValueError, match=r"d\.csv:4099: malformed tid"):
         load_csv(p, tid_column="tid")
+
+
+@pytest.mark.parametrize("data, where", [
+    (b"a,b\n" + b"x,y\n" * 5000 + b"x,\xff\n",
+     "5002: byte 0xff at offset 20006"),
+    (b"\xffa,b\n", "1: byte 0xff at offset 0"),
+    (b"a,b\r\nx,y\r\n\xe9,z\n", "3: byte 0xe9 at offset 10"),
+    (b"a,b\rx,\xc3\n", "2: byte 0xc3 at offset 6"),
+    (b'a,b\n"x\ny",\x80\n', "3: byte 0x80 at offset 10"),
+], ids=["line-5002", "header", "crlf", "lone-cr", "quoted-line-end"])
+def test_load_csv_not_utf8_names_line_and_offset(tmp_path, data, where):
+    # the line counts line ends as csv.reader does; the offset is the
+    # byte's in the file, not in the decoder's current read
+    p = tmp_path / "d.csv"
+    p.write_bytes(data)
+    with pytest.raises(ValueError) as exc:
+        load_csv(p)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "%s:%s is not UTF-8" % (p, where)
 
 
 def test_load_csv_int64_extremes(tmp_path):
@@ -273,7 +295,8 @@ def test_load_csv_matches_csv_reader(tmp_path_factory, grid, chunk_rows):
 def _first_fault(records, width, tid_at):
     """The tids load_csv gives the data ``records`` before their first
     fault, and that fault as (index, message), or None: a record without
-    ``width`` fields, a tid that is not an int64 integer, or a repeat."""
+    ``width`` fields, a tid that is not ASCII digits with an optional
+    leading ``-`` and within int64, or a repeat."""
     tids = []
     for i, r in enumerate(records):
         if len(r) != width:
@@ -281,10 +304,10 @@ def _first_fault(records, width, tid_at):
         if tid_at is None:
             tids.append(i + 1)
             continue
-        try:
-            tid = int(r[tid_at])
-        except ValueError:
-            tid = None
+        cell = r[tid_at]
+        digits = cell[1:] if cell.startswith("-") else cell
+        tid = (int(cell) if digits and all(c in "0123456789" for c in digits)
+               else None)
         if tid is None or not -2**63 <= tid < 2**63:
             return tids, (i, "malformed tid %r" % r[tid_at])
         if tid in tids:

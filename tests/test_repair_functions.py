@@ -8,48 +8,47 @@ from hypothesis import given, settings, strategies as st
 
 import fdrepair
 from fdrepair import RepairFunction
-from fdrepair.repair_functions import (BUILTINS, get_function, majority_vote,
-                                       max_value, weighted_vote)
+from fdrepair.repair_functions import BUILTINS, MV, WV, get_function, max_value
 
 
 def test_majority_clear_winner():
     rng = random.Random(0)
-    assert majority_vote(["10006"] * 3 + ["1x006"], rng) == "10006"
+    assert MV(["10006"] * 3 + ["1x006"], [0] * 4, 5, rng) == "10006"
 
 
 def test_majority_constant_bag():
-    assert majority_vote(["v"] * 5, random.Random(0)) == "v"
+    assert MV(["v"] * 5, [0] * 5, 1, random.Random(0)) == "v"
 
 
 def test_majority_tie_is_seed_deterministic():
-    picks = {majority_vote(["p", "q"], random.Random(42)) for _ in range(5)}
+    picks = {MV(["p", "q"], [0, 0], 2, random.Random(42)) for _ in range(5)}
     assert len(picks) == 1
     assert picks.pop() in {"p", "q"}
 
 
 def test_majority_null_loses_tie():
-    assert majority_vote(["p", None], random.Random(0)) == "p"
+    assert MV(["p", None], [0, 1], 2, random.Random(0)) == "p"
 
 
 def test_majority_empty_bag():
     with pytest.raises(ValueError):
-        majority_vote([], random.Random(0))
+        MV([], [], 2, random.Random(0))
 
 
 def test_weighted_prefers_low_null_rows():
     # width 5: weight 625 for N=0 beats 81+81 for two rows with N=2
-    v = weighted_vote(["u", "v", "v"], [0, 2, 2], 5, random.Random(0))
+    v = WV(["u", "v", "v"], [0, 2, 2], 5, random.Random(0))
     assert v == "u"
 
 
 def test_weighted_equal_nulls_reduces_to_majority():
     values = ["a", "b", "b"]
-    assert weighted_vote(values, [1, 1, 1], 4, random.Random(3)) == \
-        majority_vote(values, random.Random(3))
+    assert WV(values, [1, 1, 1], 4, random.Random(3)) == \
+        MV(values, [1, 1, 1], 4, random.Random(3))
 
 
 def test_weighted_single_entry():
-    assert weighted_vote(["x"], [2], 5, random.Random(0)) == "x"
+    assert WV(["x"], [2], 5, random.Random(0)) == "x"
 
 
 def test_max_allergen_codes():

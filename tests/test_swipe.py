@@ -5,10 +5,25 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fdrepair import (FD, DisjointSetForest, GenConfig, Relation,
-                      RepairFunction, Schema, SchemaError, evaluate, generate,
-                      swipe, violates)
+import fdrepair
+from fdrepair import (FD, GenConfig, Relation, RepairFunction, Schema,
+                      SchemaError, evaluate, generate, swipe)
+from fdrepair.dsf import DisjointSetForest
+from fdrepair.fds import violates
 from fdrepair.priority import update_dsf, vio
+
+
+def test_public_api():
+    # the package root is what the README's library example and the CLI
+    # use; engine internals are imported from their own modules
+    assert sorted(fdrepair.__all__) == [
+        "FD", "GenConfig", "Relation", "RepairFunction",
+        "RepairInvariantError", "Schema", "SchemaError", "evaluate",
+        "generate", "load_csv", "load_fds", "save_csv", "save_fds", "swipe"]
+    for name in fdrepair.__all__:
+        assert getattr(fdrepair, name) is not None
+    for name in ("fix", "update_dsf", "DisjointSetForest"):
+        assert not hasattr(fdrepair, name)
 
 
 def test_hospital_snippet_repair(hospital_snippet, hospital_fds):
