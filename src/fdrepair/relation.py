@@ -13,18 +13,19 @@ arrays (``codes``), as do tids (``tid_array``). ``rows``, ``column``,
 from the dictionaries, escaping each value once and emitting rows in blocks
 by indexing the escaped values with the codes. ``load_csv`` reads the
 body in blocks of whole lines, each parsed into one flat cell list and
-sliced per column, so it leaves no row lists for the cyclic garbage
-collector. A block that ``csv.reader`` could not read differently (no
-``"``, NUL or lone ``\r``, every record as wide as the header) is cut with
-one ``str.split``; from the first block that fails that check to the end
-of the file, ``csv.reader`` parses it.
+sliced per column. A block that ``csv.reader`` could not read differently
+(no ``"``, NUL or lone ``\r``, every record as wide as the header) is cut
+with one ``str.split``; from the first block that fails that check to the
+end of the file, ``csv.reader`` parses it. A column whose cells are all
+distinct gets codes 1..n in order and no value -> code map until a value
+is first looked up.
 """
 
 import csv
 import io
 import re
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -95,16 +96,27 @@ def _unique_tids(tids):
 
 class _Dictionary(dict):
     """One attribute's value -> code map; ``values`` maps codes back. An
-    unseen value gets the next code as it is looked up."""
+    unseen value gets the next code as it is looked up. While ``load_csv``
+    finds a column's cells all distinct, it keeps them in ``seen`` and
+    numbers them in order: the map stays unbuilt (not ``mapped``) until
+    ``ready`` enters every value in one call."""
 
     def __init__(self):
         super().__init__({None: NULL})
         self.values = [None]
+        self.mapped, self.seen = True, None
 
     def __missing__(self, value):
         code = self[value] = len(self.values)
         self.values.append(value)
         return code
+
+    def ready(self):
+        """This map, holding every value in ``values``."""
+        if not self.mapped:
+            self.update(zip(self.values[1:], count(1)))
+            self.mapped = True
+        return self
 
 
 class Relation:
@@ -144,8 +156,16 @@ class Relation:
             self._tids = np.pad(self._tids[:n], (0, spare))
         self._tids[n:end] = tids
         for d, codes, col in zip(self._dicts, self._data[:, n:end], columns):
-            codes[:] = np.fromiter(map(d.__getitem__, col), dtype=np.int32,
-                                   count=end - n)
+            if d.seen is not None:  # a load, all cells so far distinct
+                size = len(d.seen)
+                d.seen.update(col)
+                if len(d.seen) == size + end - n:  # no repeat, no NULL
+                    codes[:] = np.arange(len(d.values), len(d.values) + end - n)
+                    d.values += col
+                    continue
+                d.seen = None
+            codes[:] = np.fromiter(map(d.ready().__getitem__, col),
+                                   dtype=np.int32, count=end - n)
         self._n = end
 
     def __len__(self):
@@ -204,7 +224,7 @@ class Relation:
 
     def encode(self, attr, value):
         """The attribute's code for ``value``, adding it if it is new."""
-        return self._dicts[self.schema.index(attr)][value]
+        return self._dicts[self.schema.index(attr)].ready()[value]
 
     # ------------------------------------------------------------ decoded
 
@@ -224,7 +244,7 @@ class Relation:
 
     def set(self, tid, attr, value):
         j = self.schema.index(attr)
-        self._data[j, self._position(tid)] = self._dicts[j][value]
+        self._data[j, self._position(tid)] = self._dicts[j].ready()[value]
 
     def column(self, attr):
         return list(map(self.values(attr).__getitem__,
@@ -232,8 +252,9 @@ class Relation:
 
 
 def _line_of(path, record):
-    """The line of ``path`` on which data row ``record`` (0-based) starts."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """The line of ``path`` on which data row ``record`` (0-based) starts.
+    A byte that is not UTF-8 changes no line end, so it is read as U+FFFD."""
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         next(islice(reader, record, None))  # the header and ``record`` rows
         return reader.line_num + 1
@@ -247,8 +268,14 @@ def _raise_first_fault(path, tids, fault=None):
     if dup is not None:
         fault = dup, "duplicate tid %d" % tids[dup]
     if fault is not None:
-        record, message = fault
-        raise ValueError("%s:%d: %s" % (path, _line_of(path, record), message))
+        raise _fault(path, _line_of(path, fault[0]), fault[1])
+
+
+def _fault(path, line, message):
+    """A ValueError for ``message`` at ``line`` of ``path``, which it keeps."""
+    exc = ValueError("%s:%d: %s" % (path, line, message))
+    exc.line = line
+    return exc
 
 
 def _tid(cell):
@@ -269,9 +296,8 @@ def _not_utf8(path):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as exc:
-                return ValueError("%s:%d: byte 0x%02x at offset %d is not "
-                                  "UTF-8" % (path, number, line[exc.start],
-                                             offset + exc.start))
+                return _fault(path, number, "byte 0x%02x at offset %d is not "
+                              "UTF-8" % (line[exc.start], offset + exc.start))
             offset += len(line)
 
 
@@ -329,70 +355,84 @@ def load_csv(path, null_token="", tid_column=None):
     that column supplies the tids (unique int64 integers); otherwise tids
     are assigned 1..n in row order.
 
-    ``csv.reader`` reads the header, and ``_blocks`` the body: a block of
-    lines with no ``"``, NUL or lone ``\r``, every record as wide as the
-    header, is cut with one ``str.split``, and from the first block that is
-    not, ``csv.reader`` parses the rest of the file. The cells are
-    ``csv.reader``'s either way. Each block's cells form one flat list whose
-    strided slices encode the columns, so no row list outlives its parse
-    and a load leaves the cyclic garbage collector nothing to do.
+    ``csv.reader`` reads the header, and ``_blocks`` the body, so the cells
+    are ``csv.reader``'s whether a block is cut with ``str.split`` or not.
+    Each block's cells form one flat list whose strided slices encode the
+    columns, so a load leaves the cyclic garbage collector nothing to do.
+    A column's cells are numbered in order while each block brings only
+    new ones; its value -> code map is built at its first repeat or NULL,
+    or, if none comes, on the first lookup after the load.
 
     Errors name the line where the bad row starts: of the ragged rows,
     malformed tids (see ``_tid``) and repeated tids, the first in the file,
     whatever the block size. Repeats are looked for once: after the last
     row, or on a ragged row or malformed tid, among the rows before it. A
-    byte that is not UTF-8 is reported, with its line and file offset, as
-    soon as a read meets it.
+    byte that is not UTF-8 is reported with its line and file offset,
+    unless a second read, taking it as U+FFFD, finds one of those faults
+    on an earlier line.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                raise ValueError("%s: empty file, expected a header row" % path) from None
-            tid_idx = None
-            if tid_column is not None:
-                if tid_column not in header:
-                    raise SchemaError("tid column %r not in header" % (tid_column,))
-                tid_idx = header.index(tid_column)
-                header = header[:tid_idx] + header[tid_idx + 1:]
-            rel = Relation(Schema(header))
-            width = len(header) + (tid_idx is not None)
-            for d in rel._dicts:
-                d[null_token] = NULL
-            start = 0  # the block's first record
-            for flat, fields in _blocks(fh, width):
-                ragged = np.flatnonzero(fields != width)
-                # the rows before the first ragged one are well formed, and
-                # a bad tid among them comes first in the file
-                n = int(ragged[0]) if len(ragged) else len(fields)
-                del flat[n * width:]
-                columns = [flat[j::width] for j in range(width)]
-                fault = None  # (index, message) of its first bad record
-                if len(ragged):
-                    fault = start + n, "expected %d fields, got %d" % (
-                        width, fields[n])
-                if tid_idx is None:
-                    tids = np.arange(start + 1, start + 1 + n)
-                else:
-                    cells = columns.pop(tid_idx)
-                    tids = list(map(_tid, cells))
-                    if None in tids:
-                        i = tids.index(None)
-                        fault = start + i, "malformed tid %r" % cells[i]
-                        del tids[i:]
-                    tids = np.array(tids, dtype=np.int64)
-                if fault is not None:
-                    _raise_first_fault(
-                        path, np.concatenate((rel.tid_array(), tids)), fault)
-                rel._extend(tids, columns)
-                start += len(fields)
+        return _load_csv(path, null_token, tid_column, "strict")
     except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+        error = _not_utf8(path)
+    try:
+        _load_csv(path, null_token, tid_column, "replace")
+    except (ValueError, csv.Error) as fault:
+        if getattr(fault, "line", error.line) < error.line:
+            raise
+    raise error
+
+
+def _load_csv(path, null_token, tid_column, errors):
+    """``load_csv``, decoding with the codec error handler ``errors``."""
+    with open(path, newline="", encoding="utf-8", errors=errors) as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise ValueError("%s: empty file, expected a header row" % path) from None
+        tid_idx = None
+        if tid_column is not None:
+            if tid_column not in header:
+                raise SchemaError("tid column %r not in header" % (tid_column,))
+            tid_idx = header.index(tid_column)
+            header = header[:tid_idx] + header[tid_idx + 1:]
+        rel = Relation(Schema(header))
+        width = len(header) + (tid_idx is not None)
+        for d in rel._dicts:
+            d[null_token] = NULL
+            d.mapped, d.seen = False, {null_token}
+        start = 0  # the block's first record
+        for flat, fields in _blocks(fh, width):
+            ragged = np.flatnonzero(fields != width)
+            # the rows before the first ragged one are well formed, and
+            # a bad tid among them comes first in the file
+            n = int(ragged[0]) if len(ragged) else len(fields)
+            del flat[n * width:]
+            columns = [flat[j::width] for j in range(width)]
+            fault = None  # (index, message) of its first bad record
+            if len(ragged):
+                fault = start + n, "expected %d fields, got %d" % (
+                    width, fields[n])
+            if tid_idx is None:
+                tids = np.arange(start + 1, start + 1 + n)
+            else:
+                cells = columns.pop(tid_idx)
+                tids = list(map(_tid, cells))
+                if None in tids:
+                    i = tids.index(None)
+                    fault = start + i, "malformed tid %r" % cells[i]
+                    del tids[i:]
+                tids = np.array(tids, dtype=np.int64)
+            if fault is not None:
+                _raise_first_fault(
+                    path, np.concatenate((rel.tid_array(), tids)), fault)
+            rel._extend(tids, columns)
+            start += len(fields)
     _raise_first_fault(path, rel.tid_array())
     for d in rel._dicts:
         del d[null_token]
         d[None] = NULL
+        d.seen = None
     return rel
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fdrepair import Relation, Schema, load_csv, save_csv
+from fdrepair import (FD, Relation, Schema, evaluate, load_csv, save_csv,
+                      swipe)
 from fdrepair import relation
-from fdrepair.relation import _CHUNK_ROWS
+from fdrepair.relation import _CHUNK_ROWS, NULL
 
 
 def make_rel(attrs, rows):
@@ -136,6 +137,30 @@ def test_load_csv_not_utf8_names_line_and_offset(tmp_path, data, where):
         load_csv(p)
     assert type(exc.value) is ValueError
     assert str(exc.value) == "%s:%s is not UTF-8" % (p, where)
+
+
+@pytest.mark.parametrize("data, tid_column, message", [
+    (b"a,b\nx\nx,\xff\n", None, "2: expected 2 fields, got 1"),
+    (b"tid,a\n1,x\n1,y\n\xff", "tid", "3: duplicate tid 1"),
+    (b"tid,a\n1,x\nq,y\n2,\xff\n", "tid", "3: malformed tid 'q'"),
+    (b"a,b\nx,\xff\ny\n", None, "2: byte 0xff at offset 6 is not UTF-8"),
+    (b'a,b\n"x\n\xff",y\n', None, "3: byte 0xff at offset 7 is not UTF-8"),
+    (b"tid,a\n1,x\n\xff,y\n1,z\n", "tid",
+     "3: byte 0xff at offset 10 is not UTF-8"),
+], ids=["ragged-before", "repeat-before", "malformed-before", "ragged-after",
+        "record-spans-bad-line", "repeat-after"])
+@pytest.mark.parametrize("chunk_rows", [1, _CHUNK_ROWS])
+def test_load_csv_not_utf8_after_earlier_fault(tmp_path, data, tid_column,
+                                              message, chunk_rows):
+    # a ragged row, malformed tid or repeated tid that starts on a line
+    # before the bad byte is the file's first fault, even in the same read
+    p = tmp_path / "d.csv"
+    p.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation, "_CHUNK_ROWS", chunk_rows)
+        with pytest.raises(ValueError) as exc:
+            load_csv(p, tid_column=tid_column)
+    assert str(exc.value) == "%s:%s" % (p, message)
 
 
 def test_load_csv_int64_extremes(tmp_path):
@@ -320,8 +345,14 @@ def _assert_loaded(rel, header, records, tids, tid_at):
     keep = [j for j in range(len(header)) if j != tid_at]
     assert rel.schema.attributes == [header[j] for j in keep]
     assert rel.tids == tids
-    assert [rel.column(header[j]) for j in keep] == [
-        [None if r[j] == NULL_TOKEN else r[j] for r in records] for j in keep]
+    for j in keep:
+        column = [None if r[j] == NULL_TOKEN else r[j] for r in records]
+        # NULL, then the other values in the order they first appear
+        values = rel.values(header[j])
+        assert values == [None, *dict.fromkeys(v for v in column
+                                               if v is not None)]
+        assert [values[c] for c in rel.codes(header[j]).tolist()] == column
+        assert rel.column(header[j]) == column
 
 
 # Raw text, not csv.writer's: "\x0b", "\x85" and "\u2028" break lines for
@@ -426,6 +457,85 @@ def test_load_csv_field_size_error_matches_csv_reader(tmp_path, chunk_rows):
     finally:
         csv.field_size_limit(limit)
     assert str(raised.value) == str(expected.value)
+
+
+@st.composite
+def distinct_csvs(draw):
+    """The text of a CSV file whose row i holds ``u<i>`` in every column,
+    a tid column or none, and which columns still hold only distinct values.
+    Up to two cells per column are drawn as NULL or as an earlier cell."""
+    width = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 30))
+    columns = []
+    for _ in range(width):
+        column = ["u%d" % i for i in range(n)]
+        for _ in range(draw(st.integers(0, 2)) if n else 0):
+            i = draw(st.integers(0, n - 1))
+            column[i] = (column[draw(st.integers(0, i - 1))]
+                         if i and draw(st.booleans()) else NULL_TOKEN)
+        columns.append(column)
+    distinct = [len(set(c) | {NULL_TOKEN}) == n + 1 for c in columns]
+    header = ["c%d" % j for j in range(width)]
+    if draw(st.booleans()):
+        tid_at = draw(st.integers(0, width))
+        header.insert(tid_at, "tid")
+        columns.insert(tid_at, [str(t) for t in draw(st.permutations(
+            range(-3, n - 3)))])
+    text = "".join(",".join(row) + "\n" for row in [header, *zip(*columns)])
+    return text, "tid" in header, distinct
+
+
+@given(distinct_csvs(), st.integers(1, 5))
+def test_load_csv_numbers_distinct_columns_in_order(tmp_path_factory, raw,
+                                                    chunk_rows):
+    # a column is numbered 1..n in order while every cell is new, and
+    # mapped from the first block with a repeat or a NULL; either way its
+    # codes are a per-cell encoding's
+    text, has_tid, distinct = raw
+    p = tmp_path_factory.mktemp("distinct") / "d.csv"
+    p.write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation, "_CHUNK_ROWS", chunk_rows)
+        rel = load_csv(p, null_token=NULL_TOKEN,
+                       tid_column="tid" if has_tid else None)
+    header, *records = [line.split(",") for line in text.splitlines()]
+    tid_at = header.index("tid") if has_tid else None
+    assert rel.tids == [int(r[tid_at]) if has_tid else i + 1
+                        for i, r in enumerate(records)]
+    for a, is_distinct in zip(rel.schema.attributes, distinct):
+        index = {NULL_TOKEN: NULL}
+        codes = [index.setdefault(r[header.index(a)], len(index))
+                 for r in records]
+        assert rel.values(a) == [None, *list(index)[1:]]
+        assert rel.codes(a).tolist() == codes
+        assert rel._dicts[rel.schema.index(a)].mapped is not is_distinct
+        assert [rel.encode(a, v) for v in rel.values(a)] == list(
+            range(len(index)))
+
+
+def test_distinct_column_lookups_after_load(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,b,z\n" + "".join("%d,%d,u%d\n" % (i % 3, i % 5, i)
+                                      for i in range(3 * _CHUNK_ROWS)))
+    rel = load_csv(p)
+    z = rel._dicts[rel.schema.index("z")]
+    assert not z.mapped
+    out = swipe(rel, [FD({"a"}, "b")], seed=0)
+    save_csv(out.repaired, tmp_path / "out.csv", tid_column="tid")
+    evaluate(rel, out.repaired, rel)
+    # neither the repair, the save nor the scoring looks a value of z up
+    assert not z.mapped
+    # the copy shares z's dictionary, so a value has one code in both
+    copied = rel.copy()
+    copied.set(3, "z", "u7")
+    rel.append(-1, ["0", "0", "u5"])
+    assert rel.encode("z", "u9") == copied.encode("z", "u9") == 10
+    assert copied.codes("z")[2] == copied.codes("z")[7] == 8
+    assert rel.codes("z")[-1] == copied.codes("z")[5] == 6
+    assert rel.codes("z")[2] == 3
+    n = 3 * _CHUNK_ROWS + 1
+    assert len(rel.values("z")) == n  # no value was entered twice
+    assert rel.encode("z", "new") == copied.encode("z", "new") == n
 
 
 def test_save_csv_header_and_nulls(tmp_path):
