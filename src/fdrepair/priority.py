@@ -20,16 +20,20 @@ drains.
 
 All of it runs on the relation's integer codes. One grouping primitive,
 ``group_rows``, turns an lhs into one group id per row, which
-``update_dsf`` hands to the forest as one merge's labels; ``fix`` finds
-the forest classes holding two or more rhs values by one scatter and
-compare (``mixed_rows``). One counting kernel, ``_tally``, sums votes per
+``update_dsf`` hands to the forest as one merge's labels. One counting
+kernel, ``_tally``, counts the codes of each group and sums votes per
 (group, code) pair both for Vio (lhs groups, one vote per row) and for the
 array vote ``fix`` runs for ``mv``/``wv`` (forest classes, weighted as the
 function declares). It numbers groups from a presence mask rather than a
 sort (``_dense``) and has two paths, chosen by size alone: with at most
 ``_GRID_PER_ROW`` (group, code) cells per row it sums on the whole grid
 with ``np.bincount``; past that it sorts the pairs that occur with
-``np.unique``. A group whose top is tied is settled the same way for both,
+``np.unique``. When the forest's (class, code) table fits that grid, the
+vote tallies every class and its code counts tell which classes hold two
+or more rhs values; a class of one code keeps it. Otherwise, and for
+``max`` and user functions, ``fix`` first picks out the rows of such
+classes by one scatter and compare (``mixed_rows``) and works on those
+alone. A group whose top is tied is settled the same way for both,
 by one per-group call (``_majority``): its tied values are handed to a
 picker, groups in order of their least key. Vio's picker (``_vio_pick``)
 draws among all tied values, NULL last, groups in order of their first
@@ -98,11 +102,11 @@ def _tally(groups, codes, weights=None):
     """Sum ``weights`` (non-negative, 1 per row by default) per (group,
     code) pair of the rows, and find each group's top.
 
-    Returns ``(row_group, n_top, winner, tops)``: the dense group index of
-    each row; per group, how many codes share its largest total and the
-    largest of those codes; and the (group, code) pairs at their group's
-    top, as two arrays in ascending (group, code) order. Only pairs that
-    occur in the rows can be tops. Totals are exact integers.
+    Returns ``(row_group, n_codes, n_top, winner, tops)``: the dense group
+    index of each row; per group, how many codes occur in it, how many share
+    its largest total and the largest of those; and the (group, code) pairs
+    at their group's top, as two arrays in ascending (group, code) order.
+    Only pairs that occur in the rows can be tops. Totals are exact integers.
 
     Groups are numbered by ``_dense``. With ``g`` groups and codes below
     ``k`` there are two paths, chosen by size alone. If the ``g * k`` grid
@@ -123,12 +127,13 @@ def _tally(groups, codes, weights=None):
         pairs, row_pair = np.unique(keys, return_inverse=True)
         totals = _sums(row_pair, weights, len(pairs))
     group, code = np.divmod(pairs, k)
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    n_codes = np.bincount(group)  # every group has a run of pairs, in order
+    starts = np.cumsum(n_codes) - n_codes
     top = totals == np.maximum.reduceat(totals, starts)[group]
     top_group, top_code = group[top], code[top].astype(codes.dtype)
     n_top = np.bincount(top_group)
-    return (row_group, n_top, top_code[np.cumsum(n_top) - 1],  # last tops
-            (top_group, top_code))
+    return (row_group, n_codes, n_top, top_code[np.cumsum(n_top) - 1],
+            (top_group, top_code))  # winner: each group's last top
 
 
 def _group_min(row_group, keys, n_groups):
@@ -228,9 +233,10 @@ def _majority(rel, fd, fn, rng, groups, codes, keys, weights=None):
     applies its own tie rule and makes the draw it would make on the whole
     bag.
 
-    Returns the number of groups and each row's new code.
+    Returns the number of groups showing two or more codes and each row's
+    new code.
     """
-    row_group, n_top, winner, (top_group, top_code) = _tally(
+    row_group, n_codes, n_top, winner, (top_group, top_code) = _tally(
         groups, codes, weights)
     tied = n_top[top_group] > 1
     if tied.any():
@@ -239,7 +245,7 @@ def _majority(rel, fd, fn, rng, groups, codes, keys, weights=None):
         grp, code = top_group[tied][order], top_code[tied][order]
         winner[grp] = _call_per_class(rel, fd, fn, rng, least[grp], code,
                                       np.zeros(len(grp), dtype=np.int64))
-    return len(n_top), winner[row_group]
+    return int(np.count_nonzero(n_codes > 1)), winner[row_group]
 
 
 def _call_per_class(rel, fd, fn, rng, least, codes, null_counts):
@@ -259,26 +265,36 @@ def _call_per_class(rel, fd, fn, rng, least, codes, null_counts):
 def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
     """Fix violations of ``fd``: after updating the forest, rewrite every
     class showing more than one rhs value with the repair function, in
-    place. Returns the number of violated classes.
+    place. Returns the number of such (mixed) classes.
 
     A voting function (``fn.vote_exponent`` set) votes on codes over all
     classes at once (``_majority``, as Vio does), summing weights per
-    (class, code) pair. A class whose top is one code takes it, which is
-    the value ``fn`` would return, since no tie arises; each such winner is
-    a (class, code) pair occurring in the class, so this vote is
-    preservative by construction. A class whose top is tied is handed to
-    ``fn`` with its tied values only, once each at zero NULLs, which
-    settles it as the whole bag would: the same value and the same rng
-    draw. Any other function is called once per class on its whole bag,
-    values and NULL counts in tid order. Calls go in order of the classes'
-    least tids, through ``_call_per_class``.
+    (class, code) pair. If the forest's table of classes by rhs codes
+    (``class_count * (k + 1)`` cells, ``k`` the largest code) has at most
+    ``_GRID_PER_ROW`` cells per row, the vote runs on every row and counts
+    the mixed classes itself; otherwise it runs on the rows of mixed
+    classes only, found by ``mixed_rows``. A class whose top is one code
+    takes it, which is the value ``fn`` would return, since no tie arises;
+    each such winner is a (class, code) pair occurring in the class, so
+    this vote is preservative by construction. A class whose top is tied is
+    handed to ``fn`` with its tied values only, once each at zero NULLs,
+    which settles it as the whole bag would: the same value and the same
+    rng draw. Any other function is called once per class on its whole
+    bag, values and NULL counts in tid order, after ``mixed_rows``. Calls go
+    in order of the classes' least tids, through ``_call_per_class``.
     """
     update_dsf(rel, fd, dsf, null_equals_null)
     codes = rel.codes(fd.rhs)
     comp = dsf.roots()
-    rows = np.flatnonzero(mixed_rows(comp, codes))
-    if not len(rows):
+    if not len(codes):
         return 0
+    if fn.vote_exponent is not None and (dsf.class_count * (int(
+            codes.max()) + 1) <= _GRID_PER_ROW * len(codes)):
+        rows = slice(None)  # _tally's grid holds every class: vote on all
+    else:
+        rows = np.flatnonzero(mixed_rows(comp, codes))
+        if not len(rows):
+            return 0
     tids = rel.tid_array()[rows]
     old = codes[rows]
     if fn.vote_exponent is None:
@@ -294,7 +310,8 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
                    ** fn.vote_exponent if fn.vote_exponent else None)
         n_classes, new = _majority(rel, fd, fn, rng, comp[rows], old, tids,
                                    weights)
-    codes[rows] = new
+    if n_classes:
+        codes[rows] = new
     return n_classes
 
 

@@ -34,7 +34,6 @@ NULL = 0  # the code of NULL in every attribute
 # blocks are _CHUNK_ROWS * 4 characters: 16 per row read no faster, and
 # left a process that loads again and again holding more memory
 _CHUNK_ROWS = 4096
-_QUOTED = re.compile('[,"\r\n]').search  # characters csv.writer quotes
 _TID = re.compile("-?[0-9]+").fullmatch
 
 
@@ -436,6 +435,11 @@ def _load_csv(path, null_token, tid_column, errors):
     return rel
 
 
+def _plain(text):
+    """True unless ``text`` holds a character csv.writer quotes."""
+    return not ("," in text or '"' in text or "\r" in text or "\n" in text)
+
+
 def _written(values, width):
     """``values`` as ``csv.writer`` writes them in a row of ``width`` fields.
 
@@ -447,7 +451,7 @@ def _written(values, width):
     """
     pad = [""] if width > 1 else []  # a second field decides the "" rule
     try:
-        if (pad or all(values)) and not _QUOTED("".join(values)):
+        if (pad or all(values)) and _plain("".join(values)):
             return values
     except TypeError:  # a value that is not a string
         pass
@@ -456,7 +460,7 @@ def _written(values, width):
     end = -len(",\r\n" if pad else "\r\n")
 
     def escape(value):
-        if isinstance(value, str) and (value or pad) and not _QUOTED(value):
+        if isinstance(value, str) and (value or pad) and _plain(value):
             return value
         buf.seek(0)
         buf.truncate()

@@ -1,12 +1,13 @@
 import random
 from collections import Counter
 from itertools import repeat
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fdrepair import FD, Relation, Schema, swipe
+from fdrepair import FD, Relation, Schema, priority, swipe
 from fdrepair.dsf import DisjointSetForest
 from fdrepair.fds import minimal_cover, violates
 from fdrepair.partition import fds_entering_at
@@ -14,11 +15,26 @@ from fdrepair.priority import (_GRID_PER_ROW, RepairStats, _tally,
                                estimate_priority, fix, pilot_fds,
                                priority_repair, shares_forest,
                                skip_revision_unary, update_dsf, vio)
-from fdrepair.repair_functions import BUILTINS, MV, WV, RepairFunction
+from fdrepair.repair_functions import BUILTINS, MAX, MV, WV, RepairFunction
 from fdrepair.swipe import plan, resolve_functions
 
 NAME_PROV = FD(frozenset({"hospital name"}), "#provider")
 PROV_NAME = FD(frozenset({"#provider"}), "hospital name")
+
+# fix's two paths: with no grid every fix gathers its mixed rows first (and
+# _tally sorts its pairs); with a huge one every voting fix tallies the
+# whole forest (and _tally sums on its grid)
+GRIDS = (0, 10 ** 9)
+
+
+def grid(cells_per_row):
+    return mock.patch.object(priority, "_GRID_PER_ROW", cells_per_row)
+
+
+def more(n):
+    """``n`` examples, or the loaded profile's count where that is larger,
+    as under ``--hypothesis-profile=ci``."""
+    return max(n, settings().max_examples)
 
 
 def sub_relation(rel, tids):
@@ -243,7 +259,7 @@ VIO_TIES = [["2", "0", "1"], ["2", "0", "0"], ["1", "1", "2"],
             [None, "1", None]]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=more(150), deadline=None)
 @given(cells, st.sampled_from([*BUILTINS.values(), FEWEST_NULLS]),
        st.booleans(), st.randoms(use_true_random=False))
 @example(VIO_TIES, MV, True, random.Random(0))
@@ -251,26 +267,28 @@ VIO_TIES = [["2", "0", "1"], ["2", "0", "0"], ["1", "1", "2"],
 def test_vio_and_fix_match_row_loop_reference(rows, fn, null_equals_null,
                                              rng):
     # same results and the same draws from the rng, with tids out of row
-    # order and two FDs fixed into one forest in turn
+    # order and two FDs fixed into one forest in turn, on both of fix's paths
     tids = rng.sample(range(1, 100), len(rows))
-    rel = Relation(Schema(["a", "b", "c"]), tids, rows)
-    ref_rows = [list(row) for row in rel.rows]
     seed = rng.randrange(1000)
-    for fd in (FD(frozenset("a"), "c"), FD(frozenset("ab"), "c")):
-        got_rng, ref_rng = random.Random(seed), random.Random(seed)
-        assert vio(rel, fd.rhs, [fd], got_rng, null_equals_null) == \
-            vio_fd_reference(rel, fd, ref_rng, null_equals_null)
-        assert got_rng.getstate() == ref_rng.getstate()
-    forest, ref_forest = DisjointSetForest(tids), RowUnionFind(tids)
-    for fd in (FD(frozenset("a"), "c"), FD(frozenset("b"), "c")):
-        got_rng, ref_rng = random.Random(seed), random.Random(seed)
-        fixes = fix(rel, fd, forest, fn, got_rng,
-                    null_equals_null=null_equals_null)
-        assert fixes == fix_reference(rel, ref_rows, fd, ref_forest, fn,
-                                      ref_rng, null_equals_null)
-        assert rel.rows == ref_rows
-        assert got_rng.getstate() == ref_rng.getstate()
-        assert forest.classes() == ref_forest.classes()
+    for cells_per_row in GRIDS:
+        rel = Relation(Schema(["a", "b", "c"]), tids, rows)
+        ref_rows = [list(row) for row in rel.rows]
+        with grid(cells_per_row):
+            for fd in (FD(frozenset("a"), "c"), FD(frozenset("ab"), "c")):
+                got_rng, ref_rng = random.Random(seed), random.Random(seed)
+                assert vio(rel, fd.rhs, [fd], got_rng, null_equals_null) == \
+                    vio_fd_reference(rel, fd, ref_rng, null_equals_null)
+                assert got_rng.getstate() == ref_rng.getstate()
+            forest, ref_forest = DisjointSetForest(tids), RowUnionFind(tids)
+            for fd in (FD(frozenset("a"), "c"), FD(frozenset("b"), "c")):
+                got_rng, ref_rng = random.Random(seed), random.Random(seed)
+                fixes = fix(rel, fd, forest, fn, got_rng,
+                            null_equals_null=null_equals_null)
+                assert fixes == fix_reference(rel, ref_rows, fd, ref_forest,
+                                              fn, ref_rng, null_equals_null)
+                assert rel.rows == ref_rows
+                assert got_rng.getstate() == ref_rng.getstate()
+                assert forest.classes() == ref_forest.classes()
 
 
 def recording(fn, bags):
@@ -288,7 +306,7 @@ vote_bags = st.lists(st.lists(
     min_size=1, max_size=6), min_size=1, max_size=8)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=more(300), deadline=None)
 @given(vote_bags, st.booleans(), st.sampled_from([MV, WV]),
        st.randoms(use_true_random=False))
 # two or more tied constants
@@ -318,26 +336,73 @@ vote_bags = st.lists(st.lists(
           [("x", 1), ("z", 1), ("y", 1)], [("y", 0), ("x", 0)]], False, WV,
          random.Random(6))
 def test_array_vote_matches_per_class_vote(bags, null_key, fn, rng):
-    # fix's array vote against majority_vote/weighted_vote called class by
+    # fix's array vote, on both of its paths, against MV/WV called class by
     # class: same winners, same changed cells and the same rng draws; fix
     # hands the function only a tied top, each value once
     rows = [[None if null_key and i == 0 else str(i), v,
              *[None] * n, *["f"] * (2 - n)]
             for i, bag in enumerate(bags) for v, n in bag]
     tids = rng.sample(range(1, 1000), len(rows))
-    rel = Relation(Schema(["k", "v", "p", "q"]), tids, rows)
-    ref_rows = [list(row) for row in rel.rows]
     fd = FD(frozenset("k"), "v")
     seed = rng.randrange(1000)
-    got_rng, ref_rng = random.Random(seed), random.Random(seed)
-    handed = []
-    fixes = fix(rel, fd, DisjointSetForest(tids), recording(fn, handed),
-                got_rng)
-    assert fixes == fix_reference(rel, ref_rows, fd, RowUnionFind(tids), fn,
-                                  ref_rng, True)
-    assert rel.rows == ref_rows
-    assert got_rng.getstate() == ref_rng.getstate()
-    assert all(len(set(bag)) == len(bag) > 1 for bag in handed)
+    for cells_per_row in GRIDS:
+        rel = Relation(Schema(["k", "v", "p", "q"]), tids, rows)
+        ref_rows = [list(row) for row in rel.rows]
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        handed = []
+        with grid(cells_per_row):
+            fixes = fix(rel, fd, DisjointSetForest(tids),
+                        recording(fn, handed), got_rng)
+        assert fixes == fix_reference(rel, ref_rows, fd, RowUnionFind(tids),
+                                      fn, ref_rng, True)
+        assert rel.rows == ref_rows
+        assert got_rng.getstate() == ref_rng.getstate()
+        assert all(len(set(bag)) == len(bag) > 1 for bag in handed)
+
+
+# relations on which every class of a -> c is uniform, under either NULL
+# semantics: no rows, one row, an all-NULL rhs (one code), and classes of
+# one value each beside NULL lhs keys
+UNMIXED = [[], [["x", "1", "1"]], [["x", "1", None], [None, "2", None],
+                                   ["y", None, None], ["x", "1", None]],
+           [["x", "1", "1"], [None, "2", "2"], ["y", None, None],
+            ["x", "2", "1"], [None, "1", "2"], ["y", "1", None]]]
+
+
+@pytest.mark.parametrize("rows", UNMIXED)
+@pytest.mark.parametrize("fn", [MV, WV])
+@pytest.mark.parametrize("null_equals_null", [True, False])
+def test_whole_forest_vote_without_mixed_class(rows, fn, null_equals_null):
+    # the whole-forest tally finds no mixed class: fix returns 0, leaves the
+    # codes as they were and draws nothing, and never gathers mixed rows
+    rel = Relation(Schema(["a", "b", "c"]), range(1, len(rows) + 1), rows)
+    before = rel.codes("c").copy()
+    rng = random.Random(0)
+    state = rng.getstate()
+    with mock.patch.object(priority, "mixed_rows", side_effect=AssertionError):
+        assert fix(rel, FD(frozenset("a"), "c"), DisjointSetForest(rel.tids),
+                   fn, rng, null_equals_null) == 0
+    assert rel.codes("c").tolist() == before.tolist()
+    assert rel.rows == rows
+    assert rng.getstate() == state
+
+
+@settings(max_examples=more(100), deadline=None)
+@given(cells, st.sampled_from([MAX, FEWEST_NULLS]),
+       st.sampled_from([*GRIDS, _GRID_PER_ROW]), st.booleans())
+def test_other_functions_see_only_mixed_classes(rows, fn, cells_per_row,
+                                                null_equals_null):
+    # max and user functions are called once per class fix counts, each on a
+    # bag of two or more distinct values, whatever the grid size
+    rel = Relation(Schema(["a", "b", "c"]), range(1, len(rows) + 1), rows)
+    forest = DisjointSetForest(rel.tids)
+    for fd in (FD(frozenset("a"), "c"), FD(frozenset("b"), "c")):
+        handed = []
+        with grid(cells_per_row):
+            fixes = fix(rel, fd, forest, recording(fn, handed),
+                        random.Random(0), null_equals_null)
+        assert fixes == len(handed)
+        assert all(len(set(bag)) >= 2 for bag in handed)
 
 
 def test_vio_ties_of_mixed_types_settle_per_group():
@@ -361,7 +426,7 @@ def test_vio_tie_of_incomparable_values_raises():
 
 
 def tally_reference(groups, codes, weights):
-    """``_tally``'s four results from a Counter over (group, code) pairs."""
+    """``_tally``'s five results from a Counter over (group, code) pairs."""
     totals = Counter()
     for g, c, w in zip(groups, codes, weights or repeat(1)):
         totals[g, c] += w  # a pair of zero total is still counted
@@ -372,7 +437,9 @@ def tally_reference(groups, codes, weights):
     tops = sorted((dense[g], c) for (g, c), t in totals.items() if t == best[g])
     n_top = [sum(1 for i, _ in tops if i == j) for j in range(len(dense))]
     winner = [max(c for i, c in tops if i == j) for j in range(len(dense))]
-    return [dense[g] for g in groups], n_top, winner, tops
+    n_codes = Counter(dense[g] for g, _ in totals)
+    return ([dense[g] for g in groups], [n_codes[j] for j in range(len(dense))],
+            n_top, winner, tops)
 
 
 # "grid": few groups and codes, so _tally sums on its (group, code) grid;
@@ -386,7 +453,7 @@ tally_rows = {
 
 
 @pytest.mark.parametrize("side", ["grid", "sparse"])
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=more(150), deadline=None)
 @given(data=st.data())
 def test_tally_matches_counter_reference(side, data):
     rows = data.draw(tally_rows[side])
@@ -397,12 +464,13 @@ def test_tally_matches_counter_reference(side, data):
     codes = [c for _, c in rows]
     n_groups, k = len(set(groups)), max(codes) + 1
     assume((n_groups * k <= _GRID_PER_ROW * len(rows)) == (side == "grid"))
-    row_group, n_top, winner, (top_group, top_code) = _tally(
+    row_group, n_codes, n_top, winner, (top_group, top_code) = _tally(
         np.array(groups, dtype=np.int64), np.array(codes, dtype=np.int32),
         None if weights is None else np.array(weights, dtype=np.int64))
-    ref_group, ref_n_top, ref_winner, ref_tops = tally_reference(
+    ref_group, ref_n_codes, ref_n_top, ref_winner, ref_tops = tally_reference(
         groups, codes, weights)
     assert row_group.tolist() == ref_group
+    assert n_codes.tolist() == ref_n_codes
     assert n_top.tolist() == ref_n_top
     assert winner.tolist() == ref_winner
     assert list(zip(top_group.tolist(), top_code.tolist())) == ref_tops
