@@ -3,10 +3,12 @@ repairs, pinned by sha256.
 
 Any engine change that alters one output byte for a given seed fails here.
 A case whose repair raises pins the exception's name instead of digests.
-Run as a script, ``python3 tests/test_golden.py <case index>`` prints the
-digests of one case (the hash-seed test repeats a case that way in a child
-interpreter), and ``python3 tests/test_golden.py all`` prints every case in
-the form pinned below.
+The census pins one digest over 3,600 generated repairs (see
+``helpers.census_digest``). Run as a script, ``python3 tests/test_golden.py
+<case index>`` prints the digests of one case and ``python3
+tests/test_golden.py census`` the census digest (the hash-seed tests repeat
+them that way in a child interpreter), and ``python3 tests/test_golden.py
+all`` prints every case in the form pinned below.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ import pytest
 import fdrepair
 from fdrepair import GenConfig, generate, load_csv, save_csv, swipe
 from fdrepair.swipe import RepairInvariantError
+from helpers import census_digest
 
 # (rows, attrs, generator seed, repair function, null_equals_null, NULL rate)
 CASES = [
@@ -72,6 +75,8 @@ GOLDEN = [
 # the case whose relation is reloaded through a shuffled --tid-column
 SHUFFLED_CASE = 7
 SHUFFLED_GOLDEN = "csv:e5e0cf98f98c6a68 log:d0d890ccf0f819b8"
+
+CENSUS = "e8f7621c62b6b28de43bb38daac2999fc264e2641827298a427897126ddd3bba"
 
 
 def instance(rows, attrs, seed, null_rate):
@@ -136,20 +141,35 @@ def test_golden_output_shuffled_tid_column(tmp_path):
     assert shuffled_digest(str(tmp_path)) == SHUFFLED_GOLDEN
 
 
-def test_golden_output_other_hash_seed():
-    # strings hash differently per process; output must not depend on that
+def test_census():
+    assert census_digest() == CENSUS
+
+
+def other_hash_seed(arg):
+    """This script's output for ``arg`` in a child interpreter whose
+    strings hash differently; output must not depend on that."""
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = "12345"
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fdrepair.__file__))
-    proc = subprocess.run([sys.executable, __file__, "13"], env=env,
+    proc = subprocess.run([sys.executable, __file__, arg], env=env,
                           capture_output=True, text=True, timeout=300,
                           check=True)
-    assert proc.stdout.strip() == GOLDEN[13]
+    return proc.stdout.strip()
+
+
+def test_golden_output_other_hash_seed():
+    assert other_hash_seed("13") == GOLDEN[13]
+
+
+def test_census_other_hash_seed():
+    assert other_hash_seed("census") == CENSUS
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        if sys.argv[1:] == ["all"]:
+        if sys.argv[1:] == ["census"]:
+            print(census_digest())
+        elif sys.argv[1:] == ["all"]:
             for i in range(len(CASES)):
                 print("    %r," % case_digest(i, tmp))
             print("SHUFFLED_GOLDEN = %r" % shuffled_digest(tmp))

@@ -17,6 +17,7 @@ from fdrepair.priority import (_GRID_PER_ROW, RepairStats, _tally,
                                skip_revision_unary, update_dsf, vio)
 from fdrepair.repair_functions import BUILTINS, MAX, MV, WV, RepairFunction
 from fdrepair.swipe import plan, resolve_functions
+from helpers import random_instance
 
 NAME_PROV = FD(frozenset({"hospital name"}), "#provider")
 PROV_NAME = FD(frozenset({"#provider"}), "hospital name")
@@ -627,21 +628,6 @@ def test_null_unequal_pair_takes_no_shortcut():
         assert stats.revisions == 2
         outs.append(work.rows)
     assert outs[0] == outs[1]
-
-
-def random_instance(seed):
-    """Relation of 3-8 attributes and 30-200 rows over a domain of 2-5
-    values, 10% of its cells NULL, and 1-8 random FDs over it."""
-    rng = random.Random(seed)
-    k, n, d = rng.randint(3, 8), rng.randint(30, 200), rng.randint(2, 5)
-    attrs = ["a%d" % i for i in range(k)]
-    rows = [[None if rng.random() < 0.1 else str(rng.randrange(d))
-             for _ in attrs] for _ in range(n)]
-    fds = []
-    for _ in range(rng.randint(1, k)):
-        lhs = frozenset(rng.sample(attrs, rng.randint(1, min(3, k - 1))))
-        fds.append(FD(lhs, rng.choice([a for a in attrs if a not in lhs])))
-    return Relation(Schema(attrs), range(1, n + 1), rows), fds
 
 
 @settings(max_examples=50, deadline=None)

@@ -11,6 +11,7 @@ from fdrepair import (FD, GenConfig, Relation, RepairFunction, Schema,
 from fdrepair.dsf import DisjointSetForest
 from fdrepair.fds import violates
 from fdrepair.priority import update_dsf, vio
+from helpers import random_relation
 
 
 def test_public_api():
@@ -230,15 +231,7 @@ def test_changes_are_the_net_difference(k, null_rate, fn, null_equals_null,
     # set is the cells in which the output differs from the input, each
     # listed once, counted per class and in total as evaluate counts them
     rng = random.Random(seed)
-    attrs = ["a%d" % i for i in range(k)]
-    n, d = rng.randint(30, 200), rng.randint(2, 5)
-    rows = [[None if rng.random() < null_rate else str(rng.randrange(d))
-             for _ in attrs] for _ in range(n)]
-    fds = []
-    for _ in range(rng.randint(1, k)):
-        lhs = frozenset(rng.sample(attrs, rng.randint(1, min(3, k - 1))))
-        fds.append(FD(lhs, rng.choice([a for a in attrs if a not in lhs])))
-    rel = Relation(Schema(attrs), range(1, n + 1), rows)
+    rel, fds = random_relation(rng, k, null_rate)
     out = swipe(rel, fds, repair_fn=fn, seed=rng.randrange(2**32),
                 null_equals_null=null_equals_null)
     changes = out.changes()
