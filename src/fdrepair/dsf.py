@@ -1,8 +1,7 @@
-"""Disjoint set forest over the rows of a relation.
+"""Disjoint set forest over the rows 0..n-1 of a relation.
 
-The forest is flat: one numpy array holds the root row of every row, and
-``tids`` is the int64 tid array it was given, uncopied. ``merge`` is its
-only mutator. Given one label per row, it unions every group of rows
+The forest is flat: one numpy array holds the root row of every row.
+``merge`` is its only mutator. Given one label per row, it unions every group of rows
 sharing a label, in the manner of Shiloach and Vishkin (J. Algorithms
 1982): each round takes every label's least root and stops if every row
 already has it; if not, it hooks each row's root onto that least root and
@@ -13,8 +12,6 @@ merge replaces the root array rather than write into one it handed out.
 """
 
 import numpy as np
-
-from .relation import _unique_tids
 
 
 def _jump(parent):
@@ -28,10 +25,9 @@ def _jump(parent):
 
 class DisjointSetForest:
 
-    def __init__(self, tids=()):
-        self.tids = _unique_tids(tids)
-        self._root = np.arange(len(self.tids))
-        self.class_count = len(self.tids)
+    def __init__(self, n=0):
+        self._root = np.arange(n)
+        self.class_count = n
 
     def roots(self):
         """The root row of every row, as an array."""
@@ -72,8 +68,8 @@ class DisjointSetForest:
             self.class_count = int((comp == np.arange(n)).sum())
 
     def classes(self):
-        """Partition of the tids, ordered by minimal member tid."""
-        order = np.lexsort((self.tids, self._root))
+        """Partition of the rows, each class in row order, ordered by least
+        row: each class's root is its least row."""
+        order = np.argsort(self._root, kind="stable")
         cuts = np.flatnonzero(np.diff(self._root[order])) + 1
-        return sorted(part.tolist() for part in
-                      np.split(self.tids[order], cuts) if len(part))
+        return [part.tolist() for part in np.split(order, cuts) if len(part)]

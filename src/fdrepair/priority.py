@@ -6,7 +6,7 @@ reliability: the more tuples an attribute would need changed under
 independent per-FD majority resolution (Vio), the earlier its FDs run.
 Each FD in this order has a pending flag, and the lowest flagged FD is
 polled next. A disjoint set forest per attribute that some FD enters, over
-the relation's rows in order, records which tuples must end up with equal
+the relation's row positions, records which tuples must end up with equal
 values; fixing an FD merges forest classes and rewrites every multi-valued
 class with the attribute's repair function. When a fix changes an
 attribute appearing in the lhs of an already-processed FD, that FD is
@@ -210,11 +210,9 @@ def pilot_fds(class_attrs, fds_i, priority=None):
 def update_dsf(rel, fd, dsf, null_equals_null=True):
     """Merge forest classes so tuples with equal lhs values share a root.
 
-    The forest must be over the relation's tids in row order.
+    The forest must be over the relation's rows; ``merge`` raises
+    ValueError unless it has one label per row.
     """
-    if not np.array_equal(dsf.tids, rel.tid_array()):
-        raise ValueError("the forest's tids are not the relation's tids "
-                         "in row order")
     dsf.merge(group_rows(rel, sorted(fd.lhs), null_equals_null))
 
 
@@ -374,13 +372,13 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, priority=None,
     pending = [True] * len(ordered)  # polled lowest index first
     shared = shares_forest(class_attrs, fds_i, functions)
     if shared:
-        forest = DisjointSetForest(rel.tid_array())
+        forest = DisjointSetForest(len(rel))
         for fd in ordered:
             update_dsf(rel, fd, forest, null_equals_null)
         forests = dict.fromkeys(class_attrs, forest)
     else:
         entered = {fd.rhs for fd in ordered}
-        forests = {a: DisjointSetForest(rel.tid_array())
+        forests = {a: DisjointSetForest(len(rel))
                    for a in class_attrs if a in entered}
     # where the unary-revision shortcut is proven (see skip_revision_unary)
     skip = skip_unary_revision and (

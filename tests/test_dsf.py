@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdrepair import Relation, Schema
 from fdrepair.dsf import DisjointSetForest
 
 
@@ -10,7 +9,7 @@ def merge_pairs(d, pairs):
     """Merge each pair of rows into one class. A merge takes one label per
     row, so the pairs go in several merges in sequence, a new one whenever
     a pair names a row the current merge has already labelled."""
-    n = len(d.tids)
+    n = len(d.roots())
     labels, used = np.arange(n), set()
     for a, b in pairs:
         if used & {a, b}:
@@ -22,60 +21,48 @@ def merge_pairs(d, pairs):
 
 
 def test_makeset_self_root():
-    d = DisjointSetForest([7, 3, 5])
+    d = DisjointSetForest(3)
     assert d.roots().tolist() == [0, 1, 2]
 
 
 def test_makeset_counts():
-    d = DisjointSetForest(range(10))
+    d = DisjointSetForest(10)
     assert d.class_count == 10
 
 
-def test_forest_keeps_the_relation_tid_array():
-    rel = Relation(Schema(["a"]), [4, 2, 9], [["x"], ["y"], ["z"]])
-    d = DisjointSetForest(rel.tid_array())
-    assert np.shares_memory(d.tids, rel.tid_array())
-    assert d.classes() == [[2], [4], [9]]
-
-
-def test_makeset_duplicate_rejected():
-    with pytest.raises(ValueError, match="1"):
-        DisjointSetForest([1, 2, 1])
-
-
 def test_union_connects():
-    d = DisjointSetForest([1, 2])
+    d = DisjointSetForest(2)
     merge_pairs(d, [(0, 1)])
     assert d.roots()[0] == d.roots()[1]
 
 
 def test_union_same_element():
-    d = DisjointSetForest([1, 2])
+    d = DisjointSetForest(2)
     merge_pairs(d, [(0, 0)])
-    assert d.classes() == [[1], [2]]
+    assert d.classes() == [[0], [1]]
     assert d.class_count == 2
 
 
 def test_union_decrements_class_count():
-    d = DisjointSetForest([1, 2])
+    d = DisjointSetForest(2)
     merge_pairs(d, [(0, 1)])
     assert d.class_count == 1
 
 
 @pytest.mark.parametrize("n_labels", [0, 2, 4])
 def test_merge_needs_one_label_per_row(n_labels):
-    d = DisjointSetForest(range(3))
+    d = DisjointSetForest(3)
     with pytest.raises(ValueError, match="%d labels for 3 rows" % n_labels):
         d.merge(np.zeros(n_labels, dtype=np.int64))
     assert d.roots().tolist() == [0, 1, 2]
 
 
 def test_paper_style_classes():
-    d = DisjointSetForest(range(1, 7))
-    # rows 0..5 hold tids 1..6; two lhs groups, then two pairs chaining them
+    d = DisjointSetForest(6)
+    # two lhs groups, then two pairs chaining them
     d.merge(np.array([0, 0, 2, 3, 1, 1]))
     merge_pairs(d, [(1, 2), (2, 3)])
-    assert d.classes() == [[1, 2, 3, 4], [5, 6]]
+    assert d.classes() == [[0, 1, 2, 3], [4, 5]]
     roots = d.roots()
     assert roots[2] == roots[0]
     assert roots[4] == roots[5]
@@ -84,11 +71,11 @@ def test_paper_style_classes():
 
 
 def test_classes_fresh():
-    assert DisjointSetForest([1, 2]).classes() == [[1], [2]]
+    assert DisjointSetForest(2).classes() == [[0], [1]]
 
 
 def test_classes_all_union():
-    d = DisjointSetForest(range(5))
+    d = DisjointSetForest(5)
     merge_pairs(d, [(i, i + 1) for i in range(4)])
     assert d.classes() == [list(range(5))]
 
@@ -118,7 +105,7 @@ class QuotientOracle:
 def test_matches_quotient_oracle(n, unions, batch):
     # pairs are merged ``batch`` at a time, so later merges start from
     # forests that earlier ones built
-    d = DisjointSetForest(range(n))
+    d = DisjointSetForest(n)
     oracle = QuotientOracle(range(n))
     pairs = [(a, b) for a, b in unions if a < n and b < n]
     for start in range(0, len(pairs), batch):
@@ -142,7 +129,7 @@ def test_increasing_rows_match_quotient_oracle(n, pairs, merges):
     # take any label, the rest a label of their own; into a fresh forest
     # when ``pairs`` is empty, else into one they already merged; each
     # merge leaves earlier root arrays alone
-    d = DisjointSetForest(range(n))
+    d = DisjointSetForest(n)
     oracle = QuotientOracle(range(n))
     pairs = [(a, b) for a, b in pairs if a < n and b < n]
     if pairs:

@@ -90,7 +90,7 @@ def test_zero_row_relation(null_equals_null):
     assert out.cells_changed == 0
     for fd in fds:
         assert violates(rel, fd, null_equals_null) == []
-        d = DisjointSetForest(rel.tid_array())
+        d = DisjointSetForest(len(rel))
         update_dsf(rel, fd, d, null_equals_null)
         assert d.classes() == []
         assert d.class_count == 0
