@@ -112,25 +112,3 @@ def check_forward_repairable(part, cover):
     where = _class_index(part)
     return all(_entering(fd, where) == where.get(fd.rhs) for fd in cover)
 
-
-def assert_maximally_refined(part, cover, max_class_size=12):
-    """True iff no single-class split leaves the partition forward repairable.
-
-    Enumerates every way of splitting one class into two non-empty halves,
-    placed adjacently in either order. Classes larger than
-    ``max_class_size`` make the enumeration infeasible and raise ValueError.
-    """
-    for i, cls in enumerate(part.classes):
-        size = len(cls)
-        if size < 2:
-            continue
-        if size > max_class_size:
-            raise ValueError("class %r too large for exhaustive split check" % (cls,))
-        for mask in range(1, 1 << (size - 1)):
-            half_a = [a for j, a in enumerate(cls) if mask >> j & 1]
-            half_b = [a for a in cls if a not in half_a]
-            for first, second in ((half_a, half_b), (half_b, half_a)):
-                split = Partition(part.classes[:i] + [first, second] + part.classes[i + 1:])
-                if check_forward_repairable(split, cover):
-                    return False
-    return True

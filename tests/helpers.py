@@ -1,5 +1,6 @@
 """Helpers shared by several test modules: the random FD instances the
-property tests and the output census draw, and the census digest itself.
+property tests and the output census draw, the census digest itself, and
+an exhaustive oracle for partition maximality.
 
 The census repairs 3,600 generated instances and hashes every output into
 one sha256, which ``tests/test_golden.py`` pins: any engine change that
@@ -10,6 +11,7 @@ import hashlib
 import random
 
 from fdrepair import FD, Relation, Schema, swipe
+from fdrepair.partition import Partition, check_forward_repairable
 from fdrepair.swipe import RepairInvariantError
 
 
@@ -68,3 +70,26 @@ def census_digest(seeds=range(300)):
                         c.stats.revisions))
                 digest.update(repr(record).encode())
     return digest.hexdigest()
+
+
+def assert_maximally_refined(part, cover, max_class_size=12):
+    """True iff no single-class split leaves the partition forward repairable.
+
+    Enumerates every way of splitting one class into two non-empty halves,
+    placed adjacently in either order. Classes larger than
+    ``max_class_size`` make the enumeration infeasible and raise ValueError.
+    """
+    for i, cls in enumerate(part.classes):
+        size = len(cls)
+        if size < 2:
+            continue
+        if size > max_class_size:
+            raise ValueError("class %r too large for exhaustive split check" % (cls,))
+        for mask in range(1, 1 << (size - 1)):
+            half_a = [a for j, a in enumerate(cls) if mask >> j & 1]
+            half_b = [a for a in cls if a not in half_a]
+            for first, second in ((half_a, half_b), (half_b, half_a)):
+                split = Partition(part.classes[:i] + [first, second] + part.classes[i + 1:])
+                if check_forward_repairable(split, cover):
+                    return False
+    return True

@@ -16,11 +16,12 @@ from fdrepair import (FD, GenConfig, Relation, Schema, evaluate, generate,
 from fdrepair.cli import bench_cells
 from fdrepair.dsf import DisjointSetForest
 from fdrepair.fds import attribute_closure, implies, minimal_cover, violates
-from fdrepair.partition import (assert_maximally_refined, build_preorder,
-                                check_forward_repairable, induced_partition)
+from fdrepair.partition import (build_preorder, check_forward_repairable,
+                                induced_partition)
 from fdrepair.priority import (estimate_priority, fix, pilot_fds, update_dsf,
                                vio)
 from fdrepair.repair_functions import MV
+from helpers import assert_maximally_refined
 
 pytestmark = pytest.mark.acceptance
 

@@ -4,9 +4,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from fdrepair import FD, Schema
 from fdrepair.fds import minimal_cover
-from fdrepair.partition import (Partition, assert_maximally_refined,
-                                build_preorder, check_forward_repairable,
-                                fds_entering_at, induced_partition)
+from fdrepair.partition import (Partition, build_preorder,
+                                check_forward_repairable, fds_entering_at,
+                                induced_partition)
+from helpers import assert_maximally_refined
 
 
 def fd(lhs, rhs):
