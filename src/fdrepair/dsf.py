@@ -1,14 +1,15 @@
 """Disjoint set forest over the rows 0..n-1 of a relation.
 
-The forest is flat: one numpy array holds the root row of every row.
-``merge`` is its only mutator. Given one label per row, it unions every group of rows
-sharing a label, in the manner of Shiloach and Vishkin (J. Algorithms
-1982): each round takes every label's least root and stops if every row
-already has it; if not, it hooks each row's root onto that least root and
-pointer jumps until every tree has height at most one. A fresh forest
-needs no rounds: each label's least row becomes its root in one pass.
-Every class's root stays its least row, ``class_count`` stays exact, and a
-merge replaces the root array rather than write into one it handed out.
+The forest is flat: one numpy array holds the root row of every row, and
+rows are known by position alone. ``merge`` is its only mutator. Given one
+label per row, it unions every group of rows sharing a label, in the manner
+of Shiloach and Vishkin (J. Algorithms 1982): each round takes every
+label's least root and stops if every row already has it; if not, it hooks
+each row's root onto that least root and pointer jumps until every tree has
+height at most one. A fresh forest needs no rounds: each label's least row
+becomes its root in one pass. Every class's root stays its least row,
+``class_count`` stays exact, and a merge replaces the root array rather
+than write into one it handed out.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ def _jump(parent):
 
 class DisjointSetForest:
 
-    def __init__(self, n=0):
+    def __init__(self, n):
         self._root = np.arange(n)
         self.class_count = n
 

@@ -47,6 +47,10 @@ def census_runs(seeds):
             yield rel, fds, rng.randrange(2**32)
 
 
+def _per_fd(counts):
+    return [(str(fd), n) for fd, n in counts.items()]
+
+
 def census_digest(seeds=range(300)):
     """sha256 over every census repair under both NULL semantics and
     ``mv``, ``wv`` and ``max``: each output's rows and, per class, its polls
@@ -64,10 +68,9 @@ def census_digest(seeds=range(300)):
                     continue
                 record = [out.repaired.rows]
                 for c in out.classes:
-                    record.append((
-                        [(str(fd), n) for fd, n in c.stats.polls_per_fd.items()],
-                        [(str(fd), n) for fd, n in c.stats.fixes_per_fd.items()],
-                        c.stats.revisions))
+                    record.append((_per_fd(c.stats.polls_per_fd),
+                                   _per_fd(c.stats.fixes_per_fd),
+                                   c.stats.revisions))
                 digest.update(repr(record).encode())
     return digest.hexdigest()
 
