@@ -12,13 +12,14 @@ arrays (``codes``), as do tids (``tid_array``). ``rows``, ``column``,
 ``get``, ``row_of`` and ``tids`` decode. ``save_csv`` does not: it writes
 from the dictionaries, escaping each value once and emitting rows in blocks
 by indexing the escaped values with the codes. ``load_csv`` reads the
-body in blocks of whole lines, each parsed into one flat cell list and
-sliced per column. A block that ``csv.reader`` could not read differently
-(no ``"``, NUL or lone ``\r``, every record as wide as the header) is cut
-with one ``str.split``; from the first block that fails that check to the
-end of the file, ``csv.reader`` parses it. A column whose cells are all
-distinct gets codes 1..n in order and no value -> code map until a value
-is first looked up.
+body in blocks of whole lines. A block that ``csv.reader`` could not read
+differently (no ``"``, NUL or lone ``\r``, every record as wide as the
+header) is split at its separator bytes, and each column is numbered from
+the bytes: one hash pass finds each cell's first equal cell, so only the
+distinct cells are decoded and looked up. From the first block that fails
+that check to the end of the file, ``csv.reader`` parses it. A column whose
+cells are all distinct gets codes 1..n in order and no value -> code map
+until a value is first looked up.
 """
 
 import csv
@@ -31,10 +32,15 @@ import numpy as np
 
 NULL = 0  # the code of NULL in every attribute
 # rows per save_csv write and per csv.reader block of load_csv; its split
-# blocks are _CHUNK_ROWS * 4 characters: 16 per row read no faster, and
-# left a process that loads again and again holding more memory
+# blocks are _CHUNK_ROWS * 64 characters, as numpy's cost per call needs
+# large blocks: 16 and 32 per row loaded a 50k x 8 file slower, and 128
+# and 256 a 100k x 5 one
 _CHUNK_ROWS = 4096
 _TID = re.compile("-?[0-9]+").fullmatch
+# the odd multiplier (2**64 over the golden ratio) of _column's bucket hash
+_HASH = 0x9E3779B97F4A7C15
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)],
+                dtype=np.uint64)  # _LOW[k] keeps a word's first k bytes
 
 
 class SchemaError(ValueError):
@@ -117,6 +123,21 @@ class _Dictionary(dict):
             self.mapped = True
         return self
 
+    def lookup(self, values, rows):
+        """The codes of ``values``, entering the new ones: ``values`` are
+        the cells of ``rows`` new rows, or only their distinct cells. While
+        ``seen`` holds every cell so far, new cells are numbered in order."""
+        if self.seen is not None:  # a load, all cells so far distinct
+            size = len(self.seen)
+            self.seen.update(values)
+            if len(self.seen) == size + rows:  # no repeat, no NULL
+                start = len(self.values)
+                self.values += values
+                return np.arange(start, start + rows)
+            self.seen = None
+        return np.fromiter(map(self.ready().__getitem__, values),
+                           dtype=np.int32, count=len(values))
+
 
 class Relation:
     """An ordered collection of rows with unique tids.
@@ -140,31 +161,26 @@ class Relation:
             if len(row) != len(schema):
                 raise SchemaError("row arity %d does not match schema arity %d"
                                   % (len(row), len(schema)))
-        self._extend(tids, list(zip(*rows)))
+        self._extend(tids, [(col, None) for col in zip(*rows)])
 
     def _extend(self, tids, columns):
         """Append rows given as their int64 tids, which the caller has
-        checked are new, and one cell sequence per attribute. Empty storage
-        takes the rows exactly; after that it grows to the next power of two
-        rows, so appending costs amortized O(1) per cell, and a load's
-        memory does not depend on how many rows each of its blocks holds."""
+        checked are new, and one (values, local) pair per attribute: the
+        cells, one per row if ``local`` is None, or else distinct values
+        and each row's index into them. Empty storage takes the rows
+        exactly; after that it grows to the next power of two rows, so
+        appending costs amortized O(1) per cell, and a load's memory does
+        not depend on how many rows each of its blocks holds."""
         n, end = self._n, self._n + len(tids)
         if end > len(self._tids):
             spare = (1 << (end - 1).bit_length() if n else end) - n
             self._data = np.pad(self._data[:, :n], ((0, 0), (0, spare)))
             self._tids = np.pad(self._tids[:n], (0, spare))
         self._tids[n:end] = tids
-        for d, codes, col in zip(self._dicts, self._data[:, n:end], columns):
-            if d.seen is not None:  # a load, all cells so far distinct
-                size = len(d.seen)
-                d.seen.update(col)
-                if len(d.seen) == size + end - n:  # no repeat, no NULL
-                    codes[:] = np.arange(len(d.values), len(d.values) + end - n)
-                    d.values += col
-                    continue
-                d.seen = None
-            codes[:] = np.fromiter(map(d.ready().__getitem__, col),
-                                   dtype=np.int32, count=end - n)
+        for d, codes, (values, local) in zip(self._dicts, self._data[:, n:end],
+                                             columns):
+            lut = d.lookup(values, end - n)
+            codes[:] = lut if local is None else lut[local]
         self._n = end
 
     def __len__(self):
@@ -187,7 +203,7 @@ class Relation:
         tids = _unique_tids([tid])
         if tids[0] in self._pos:
             raise ValueError("duplicate tid %d" % tids[0])
-        self._extend(tids, [(value,) for value in row])
+        self._extend(tids, [((value,), None) for value in row])
         self._pos[int(tids[0])] = len(self) - 1
 
     @cached_property
@@ -300,50 +316,128 @@ def _not_utf8(path):
             offset += len(line)
 
 
-def _blocks(fh, width):
-    """The records left in the open CSV file ``fh``, as one (cells, fields)
-    pair per block: the block's cells in one flat list, and an int64 array
-    of each record's field count.
+def _column(data, words, starts, ends):
+    """One column of a split block as (values, local): its distinct cells in
+    the order they first appear, and each cell's index into them. Cell i is
+    ``data[starts[i]:ends[i]]`` and is followed by ``,``; ``data`` is the
+    block's bytes, zero-padded, and ``words[k]`` the 8 of them from ``k``.
 
-    A block is ``_CHUNK_ROWS * 4`` characters read at once and completed
-    to the end of its line. It is cut with one ``str.split`` if
-    ``csv.reader`` could not read it differently: it holds no ``"``, NUL
-    or ``\r`` outside a ``\r\n``, is no longer than
-    ``csv.field_size_limit()``, and the separator bytes show every record
-    with ``width`` fields, ``width`` being 2 or more so that a blank line
-    shows. UTF-8 never puts ``,`` or ``\n`` inside a multi-byte character.
-    (``str.splitlines`` would also break at ``\x0b``, ``\x85``,
-    ``\u2028`` and others, which ``csv.reader`` keeps in a cell.) From the
-    first block that fails a check to the end of the file, ``csv.reader``
-    parses ``_CHUNK_ROWS`` records at a time, so a quoted cell may span
-    lines and blocks, and each error is its own.
+    A cell's key is its bytes as little-endian 8-byte words, zero past its
+    end; the block holds no NUL, so equal keys mean equal cells. Each row is
+    compared with the first row of its hash bucket, and the rows that differ,
+    which hold every key sharing a bucket with an earlier one, are grouped
+    by one stable sort, so the result is exact whatever the hash. Only the
+    distinct cells are decoded, with one ``decode`` and one ``split``.
     """
+    n, lens = len(starts), ends - starts
+    keys = np.empty((max(1, -(-int(lens.max()) // 8)), n), dtype=np.uint64)
+    mixed = np.zeros(n, dtype=np.uint64)
+    for q, key in enumerate(keys):
+        left = lens if len(keys) == 1 else np.clip(lens - 8 * q, 0, 8)
+        np.bitwise_and(words[starts + 8 * q], _LOW[left], out=key)
+        mixed = (mixed ^ key) * _HASH  # wraps around, as arrays do silently
+    bits = (2 * n).bit_length()
+    bucket = (mixed >> (64 - bits)).astype(np.intp)
+    rows = np.arange(n)
+    first = np.full(1 << bits, n)
+    np.minimum.at(first, bucket, rows)
+    rep = first[bucket]  # each row's first row with an equal key
+    differ = np.zeros(n, dtype=bool)
+    for key in keys:
+        differ |= key[rep] != key
+    redo = np.flatnonzero(differ)
+    if len(redo):
+        redo = redo[np.lexsort(keys[::-1, redo])]
+        new = np.ones(len(redo), dtype=bool)
+        new[1:] = (keys[:, redo[1:]] != keys[:, redo[:-1]]).any(axis=0)
+        rep[redo] = redo[new][np.cumsum(new) - 1]
+    own = np.flatnonzero(rep == rows)
+    rows[own] = np.arange(len(own))  # a first row's index among them
+    # the distinct cells' bytes, each with the separator after it
+    start, size = starts[own], lens[own] + 1
+    at = np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
+    values = data[at].tobytes().decode().split(",")
+    values.pop()  # the empty string after the last separator
+    return values, rows[rep]
+
+
+def _split(block, width):
+    """The records of ``block``, a CSV text of whole lines, as (column, n)
+    if it can be split at its bytes ``,`` and ``\n``: ``column(j)`` numbers
+    field j of its ``n`` records (see ``_column``). None if ``csv.reader``
+    might read it differently: if it holds a ``"``, NUL or ``\r`` outside
+    a ``\r\n``, or a cell longer than ``csv.field_size_limit()``, or its
+    separators show a record without ``width`` fields, ``width`` being 2 or
+    more so that a blank line shows. UTF-8 never puts ``,``, ``\r`` or
+    ``\n`` inside a multi-byte character. (``str.splitlines`` would also
+    break at ``\x0b``, ``\x85``, ``\u2028`` and others, which
+    ``csv.reader`` keeps in a cell.)
+    """
+    if width < 2 or '"' in block or "\0" in block:
+        return None
+    # the file's last line may have no line end
+    text = block if block.endswith("\n") else block + "\n"
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    lines = text.count("\n")
+    # each line end is the width-th separator after the one before, and
+    # each \r the byte before a line end
+    line_ends = seps[width - 1::width]
+    cr = raw[line_ends - 1] == ord("\r")
+    if (len(seps) != width * lines or (raw[line_ends] != ord("\n")).any()
+            or text.count("\r") != np.count_nonzero(cr)):
+        return None
+    # no cell is longer than its line; a length in bytes is never less
+    # than in characters
+    longest = int(np.diff(line_ends, prepend=-1).max())
     limit = csv.field_size_limit()
-    while block := fh.read(_CHUNK_ROWS * 4):
+    if longest > limit and np.diff(seps, prepend=-1).max() > limit + 1:
+        return None
+    data = np.zeros(len(raw) + longest + 8, dtype=np.uint8)
+    data[:len(raw)] = raw
+    words = np.ndarray(len(data) - 7, dtype="<u8", buffer=data,
+                       strides=(1,))
+    firsts = np.concatenate(([0], line_ends[:-1] + 1))
+    lasts = line_ends - cr
+    data[lasts] = ord(",")  # after every cell, as in a row
+
+    def column(j):
+        return _column(data, words, seps[j - 1::width] + 1 if j else firsts,
+                       seps[j::width] if j < width - 1 else lasts)
+    return column, lines
+
+
+def _blocks(fh, width):
+    """The records left in the open CSV file ``fh``, one block at a time,
+    as (column, n, ragged): ``column(j)`` gives field j's (values, local)
+    pair (see ``Relation._extend``) over the block's first ``n`` records,
+    which have ``width`` fields each, and ``ragged`` is None, or the error
+    for record ``n``, which has not. A column is made when it is asked
+    for, so one column's arrays are alive at a time.
+
+    A block is ``_CHUNK_ROWS * 64`` characters read at once and completed
+    to the end of its line, and split at its bytes if ``_split`` can. From
+    the first block it cannot to the end of the file, ``csv.reader`` parses
+    ``_CHUNK_ROWS`` records at a time, so a quoted cell may span lines and
+    blocks, and each error is its own.
+    """
+    while block := fh.read(_CHUNK_ROWS * 64):
         block += fh.readline()
-        text = block.replace("\r\n", "\n")
-        if (width < 2 or len(block) > limit or '"' in text or "\0" in text
-                or "\r" in text):
+        if not (split := _split(block, width)):
             break
-        if not text.endswith("\n"):  # the file's last line
-            text += "\n"
-        # each line end is the width-th separator after the one before
-        data = np.frombuffer(text.encode(), dtype=np.uint8)
-        seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-        lines = text.count("\n")
-        if (len(seps) != width * lines
-                or (data[seps[width - 1::width]] != ord("\n")).any()):
-            break
-        cells = text.replace("\n", ",").split(",")
-        cells.pop()  # the empty string after the last line end
-        yield cells, np.full(lines, width)
+        yield *split, None
     reader = csv.reader(chain(io.StringIO(block, newline=""), fh))
     # ends[i] counts the cells through the block's record i; each record's
     # list is freed as soon as its cells are appended to cells
     cells = []
     while (ends := np.fromiter(map(len, map(cells.__iadd__, islice(
             reader, _CHUNK_ROWS))), dtype=np.int64)).size:
-        yield cells, np.diff(ends, prepend=0)
+        fields = np.diff(ends, prepend=0)
+        ragged = np.flatnonzero(fields != width)
+        n = int(ragged[0]) if len(ragged) else len(fields)
+        yield (lambda j: (cells[j:n * width:width], None)), n, (
+            "expected %d fields, got %d" % (width, fields[n])
+            if len(ragged) else None)
         cells.clear()
 
 
@@ -355,12 +449,13 @@ def load_csv(path, null_token="", tid_column=None):
     are assigned 1..n in row order.
 
     ``csv.reader`` reads the header, and ``_blocks`` the body, so the cells
-    are ``csv.reader``'s whether a block is cut with ``str.split`` or not.
-    Each block's cells form one flat list whose strided slices encode the
-    columns, so a load leaves the cyclic garbage collector nothing to do.
-    A column's cells are numbered in order while each block brings only
-    new ones; its value -> code map is built at its first repeat or NULL,
-    or, if none comes, on the first lookup after the load.
+    are ``csv.reader``'s whether a block is split at its bytes or not. A
+    split block is numbered per column from its bytes, which allocates per
+    distinct value, not per cell, so a load leaves the cyclic garbage
+    collector nothing to do. A column's cells are numbered in order while
+    each block brings only new ones; its value -> code map is built at its
+    first repeat or NULL, or, if none comes, on the first lookup after the
+    load. A tid column's distinct cells are read by ``_tid``.
 
     Errors name the line where the bad row starts: of the ragged rows,
     malformed tids (see ``_tid``) and repeated tids, the first in the file,
@@ -400,33 +495,30 @@ def _load_csv(path, null_token, tid_column, errors):
         for d in rel._dicts:
             d[null_token] = NULL
             d.mapped, d.seen = False, {null_token}
+        fields = [j for j in range(width) if j != tid_idx]
         start = 0  # the block's first record
-        for flat, fields in _blocks(fh, width):
-            ragged = np.flatnonzero(fields != width)
+        for column, n, ragged in _blocks(fh, width):
             # the rows before the first ragged one are well formed, and
             # a bad tid among them comes first in the file
-            n = int(ragged[0]) if len(ragged) else len(fields)
-            del flat[n * width:]
-            columns = [flat[j::width] for j in range(width)]
-            fault = None  # (index, message) of its first bad record
-            if len(ragged):
-                fault = start + n, "expected %d fields, got %d" % (
-                    width, fields[n])
+            fault = None if ragged is None else (start + n, ragged)
             if tid_idx is None:
                 tids = np.arange(start + 1, start + 1 + n)
             else:
-                cells = columns.pop(tid_idx)
-                tids = list(map(_tid, cells))
-                if None in tids:
-                    i = tids.index(None)
-                    fault = start + i, "malformed tid %r" % cells[i]
-                    del tids[i:]
+                values, local = column(tid_idx)
+                tids = list(map(_tid, values))
+                if None in tids:  # the first bad value is the first bad row's
+                    bad = tids.index(None)
+                    n = bad if local is None else int(np.argmax(local == bad))
+                    fault = start + n, "malformed tid %r" % values[bad]
+                    del tids[bad:]
                 tids = np.array(tids, dtype=np.int64)
+                if local is not None:
+                    tids = tids[local[:n]]
             if fault is not None:
                 _raise_first_fault(
                     path, np.concatenate((rel.tid_array(), tids)), fault)
-            rel._extend(tids, columns)
-            start += len(fields)
+            rel._extend(tids, map(column, fields))
+            start += n
     _raise_first_fault(path, rel.tid_array())
     for d in rel._dicts:
         del d[null_token]

@@ -353,6 +353,9 @@ def _assert_loaded(rel, header, records, tids, tid_at):
                                                if v is not None)]
         assert [values[c] for c in rel.codes(header[j]).tolist()] == column
         assert rel.column(header[j]) == column
+        # the map is built at the first repeat or NULL, and only then
+        assert rel._dicts[keep.index(j)].mapped is (
+            len(set(column)) < len(column) or None in column)
 
 
 # Raw text, not csv.writer's: "\x0b", "\x85" and "\u2028" break lines for
@@ -406,6 +409,12 @@ def test_load_csv_matches_csv_reader_on_raw_text(tmp_path_factory, raw,
     text, has_tid = raw
     p = tmp_path_factory.mktemp("raw") / "r.csv"
     p.write_bytes(text.encode())
+    _check_like_csv_reader(p, has_tid, chunk_rows)
+
+
+def _check_like_csv_reader(p, has_tid, chunk_rows):
+    """Load ``p`` in blocks of ``chunk_rows`` and check the relation, or the
+    error, against csv.reader's records."""
     # csv.reader is the oracle, down to the line each record starts on
     records, starts, error = [], [], None
     with open(p, newline="", encoding="utf-8") as fh:
@@ -440,6 +449,70 @@ def test_load_csv_matches_csv_reader_on_raw_text(tmp_path_factory, raw,
     _assert_loaded(rel, header, records, tids, tid_at)
 
 
+# Cells for the split path's byte keys: longer than one 8-byte word in
+# UTF-8, with 2-, 3- and 4-byte characters; byte prefixes of one another;
+# and empty cells next to the non-empty NULL token
+KEY_CELL = st.one_of(
+    st.sampled_from(["", NULL_TOKEN, "a", "ab", "ab\x01", "abcdefgh",
+                     "abcdefgh\x01", "éééé", "€€€", "😀😀", "😀😀a",
+                     "a😀€é" * 3]),
+    st.text(alphabet="ab\x01é€😀", max_size=12))
+# tids, some of them repeated, malformed or out of int64
+KEY_TID = st.one_of(st.integers(-3, 60).map(str),
+                    st.sampled_from(["q", "1é", "-", "+1", "9" * 20]))
+
+
+@st.composite
+def key_csvs(draw, has_tid=st.booleans()):
+    """The text of a CSV file of 2 or more fields that only split blocks
+    hold, and whether its header has a ``tid`` column. Its cells come from
+    a small pool, so most values repeat, many first in a later block."""
+    width = draw(st.integers(2, 4))
+    header = ["c%d" % j for j in range(width)]
+    tid_at = draw(st.integers(0, width - 1)) if draw(has_tid) else None
+    if tid_at is not None:
+        header[tid_at] = "tid"
+    pool = draw(st.lists(KEY_CELL, min_size=1, max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 40))):
+        row = [draw(st.sampled_from(pool)) for _ in header]
+        if tid_at is not None:
+            row[tid_at] = draw(KEY_TID)
+        lines.append(",".join(row))
+    text = end.join(lines) + end * draw(st.booleans())
+    return text, tid_at is not None
+
+
+@given(key_csvs(), st.integers(1, 5))
+@example(raw=("c0,c1\n" + "ab,€€€\n" * 12 + "ab\x01,ab\n" + "€€€,ab\n",
+              False), chunk_rows=1)  # values first seen in a later block
+@example(raw=("tid,c\r\n" + "".join("%d,😀😀a\r\n" % t for t in range(12))
+              + "3,a\r\n", True), chunk_rows=2)  # a repeat in a later block
+def test_load_csv_matches_csv_reader_on_byte_keys(tmp_path_factory, raw,
+                                                  chunk_rows):
+    text, has_tid = raw
+    p = tmp_path_factory.mktemp("keys") / "k.csv"
+    p.write_bytes(text.encode())
+    _check_like_csv_reader(p, has_tid, chunk_rows)
+
+
+@pytest.mark.parametrize("has_tid", [False, True])
+@given(data=st.data(), chunk_rows=st.integers(1, 5))
+def test_load_csv_every_key_in_one_bucket(tmp_path_factory, has_tid, data,
+                                          chunk_rows):
+    # a hash that sends every key to one bucket leaves all rows but the
+    # first to the sort, which must still number the cells exactly
+    text, _ = data.draw(key_csvs(st.just(has_tid)))
+    raw = data.draw(distinct_csvs(st.just(has_tid)))
+    p = tmp_path_factory.mktemp("bucket") / "k.csv"
+    p.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation, "_HASH", 0)
+        _check_like_csv_reader(p, has_tid, chunk_rows)
+        _check_distinct_numbering(tmp_path_factory, raw, chunk_rows)
+
+
 @pytest.mark.parametrize("chunk_rows", [1, _CHUNK_ROWS])
 def test_load_csv_field_size_error_matches_csv_reader(tmp_path, chunk_rows):
     # one block, or a split path up to the block with the long cell
@@ -460,7 +533,7 @@ def test_load_csv_field_size_error_matches_csv_reader(tmp_path, chunk_rows):
 
 
 @st.composite
-def distinct_csvs(draw):
+def distinct_csvs(draw, has_tid=st.booleans()):
     """The text of a CSV file whose row i holds ``u<i>`` in every column,
     a tid column or none, and which columns still hold only distinct values.
     Up to two cells per column are drawn as NULL or as an earlier cell."""
@@ -476,7 +549,7 @@ def distinct_csvs(draw):
         columns.append(column)
     distinct = [len(set(c) | {NULL_TOKEN}) == n + 1 for c in columns]
     header = ["c%d" % j for j in range(width)]
-    if draw(st.booleans()):
+    if draw(has_tid):
         tid_at = draw(st.integers(0, width))
         header.insert(tid_at, "tid")
         columns.insert(tid_at, [str(t) for t in draw(st.permutations(
@@ -488,6 +561,10 @@ def distinct_csvs(draw):
 @given(distinct_csvs(), st.integers(1, 5))
 def test_load_csv_numbers_distinct_columns_in_order(tmp_path_factory, raw,
                                                     chunk_rows):
+    _check_distinct_numbering(tmp_path_factory, raw, chunk_rows)
+
+
+def _check_distinct_numbering(tmp_path_factory, raw, chunk_rows):
     # a column is numbered 1..n in order while every cell is new, and
     # mapped from the first block with a repeat or a NULL; either way its
     # codes are a per-cell encoding's
