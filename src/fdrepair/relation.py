@@ -316,47 +316,71 @@ def _not_utf8(path):
             offset += len(line)
 
 
+def _cell_words(words, starts, lens):
+    """All the words of the cells at ``starts``, ``lens`` bytes long, in one
+    array: each cell's bytes as 8-byte words, zero past its end; also each
+    word's place in its cell and each cell's first word."""
+    count = (lens + 7) // 8
+    begin = np.cumsum(count) - count
+    place = np.arange(begin[-1] + count[-1]) - np.repeat(begin, count)
+    at = np.repeat(starts, count) + 8 * place
+    left = np.minimum(np.repeat(lens, count) - 8 * place, 8)
+    return words[at] & _LOW[left], place, begin
+
+
+def _joined(data, starts, lens):
+    """The bytes of the cells at ``starts``, each with the separator after
+    it."""
+    size = lens + 1
+    at = np.repeat(starts - np.cumsum(size) + size, size) + np.arange(size.sum())
+    return data[at].tobytes()
+
+
 def _column(data, words, starts, ends):
     """One column of a split block as (values, local): its distinct cells in
     the order they first appear, and each cell's index into them. Cell i is
     ``data[starts[i]:ends[i]]`` and is followed by ``,``; ``data`` is the
-    block's bytes, zero-padded, and ``words[k]`` the 8 of them from ``k``.
+    block's bytes and 8 zeros, and ``words[k]`` the 8 of them from ``k``.
 
     A cell's key is its bytes as little-endian 8-byte words, zero past its
     end; the block holds no NUL, so equal keys mean equal cells. Each row is
-    compared with the first row of its hash bucket, and the rows that differ,
-    which hold every key sharing a bucket with an earlier one, are grouped
-    by one stable sort, so the result is exact whatever the hash. Only the
-    distinct cells are decoded, with one ``decode`` and one ``split``.
+    compared with the first row of its hash bucket. The rows that differ
+    hold every key that shares a bucket with an earlier key, and a dict of
+    their bytes finds their first rows, so the result is exact whatever
+    the hash. Each step is one pass over the rows or over the words of the
+    cells longer than one word, so the work follows the block's bytes.
+    Only the distinct cells are decoded, with one ``decode`` and one
+    ``split``.
     """
     n, lens = len(starts), ends - starts
-    keys = np.empty((max(1, -(-int(lens.max()) // 8)), n), dtype=np.uint64)
-    mixed = np.zeros(n, dtype=np.uint64)
-    for q, key in enumerate(keys):
-        left = lens if len(keys) == 1 else np.clip(lens - 8 * q, 0, 8)
-        np.bitwise_and(words[starts + 8 * q], _LOW[left], out=key)
-        mixed = (mixed ^ key) * _HASH  # wraps around, as arrays do silently
+    first = words[starts] & _LOW[np.minimum(lens, 8)]
+    mixed = first * _HASH  # wraps around, as arrays do silently
+    long = np.flatnonzero(lens > 8)
+    if len(long):
+        key, place, begin = _cell_words(words, starts[long], lens[long])
+        mixed[long] = np.bitwise_xor.reduceat(
+            (key ^ place.astype(np.uint64)) * _HASH, begin)
     bits = (2 * n).bit_length()
     bucket = (mixed >> (64 - bits)).astype(np.intp)
     rows = np.arange(n)
-    first = np.full(1 << bits, n)
-    np.minimum.at(first, bucket, rows)
-    rep = first[bucket]  # each row's first row with an equal key
-    differ = np.zeros(n, dtype=bool)
-    for key in keys:
-        differ |= key[rep] != key
+    head = np.full(1 << bits, n)
+    np.minimum.at(head, bucket, rows)
+    rep = head[bucket]  # each row's first row with an equal key
+    differ = (first[rep] != first) | (lens[rep] != lens)
+    check = long[~differ[long] & (rep[long] != long)]
+    if len(check):
+        key, _, begin = _cell_words(words, starts[check], lens[check])
+        other, _, _ = _cell_words(words, starts[rep[check]], lens[check])
+        differ[check] = np.logical_or.reduceat(key != other, begin)
     redo = np.flatnonzero(differ)
     if len(redo):
-        redo = redo[np.lexsort(keys[::-1, redo])]
-        new = np.ones(len(redo), dtype=bool)
-        new[1:] = (keys[:, redo[1:]] != keys[:, redo[:-1]]).any(axis=0)
-        rep[redo] = redo[new][np.cumsum(new) - 1]
+        row_of = {}  # a cell's bytes -> its first row
+        rep[redo] = list(map(row_of.setdefault,
+                             _joined(data, starts[redo], lens[redo]).split(b","),
+                             redo.tolist()))
     own = np.flatnonzero(rep == rows)
     rows[own] = np.arange(len(own))  # a first row's index among them
-    # the distinct cells' bytes, each with the separator after it
-    start, size = starts[own], lens[own] + 1
-    at = np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
-    values = data[at].tobytes().decode().split(",")
+    values = _joined(data, starts[own], lens[own]).decode().split(",")
     values.pop()  # the empty string after the last separator
     return values, rows[rep]
 
@@ -375,35 +399,43 @@ def _split(block, width):
     """
     if width < 2 or '"' in block or "\0" in block:
         return None
+    raw = block.encode()
     # the file's last line may have no line end
-    text = block if block.endswith("\n") else block + "\n"
-    raw = np.frombuffer(text.encode(), dtype=np.uint8)
-    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    lines = text.count("\n")
+    size = len(raw) + (not block.endswith("\n"))
+    data = np.zeros(size + 8, dtype=np.uint8)
+    data[:len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    del raw
+    data[size - 1] = ord("\n")
+    body = data[:size]
+    seps = body == ord(",")
+    seps |= body == ord("\n")
+    seps = np.flatnonzero(seps)
+    lines = block.count("\n") + (not block.endswith("\n"))
     # each line end is the width-th separator after the one before, and
     # each \r the byte before a line end
     line_ends = seps[width - 1::width]
-    cr = raw[line_ends - 1] == ord("\r")
-    if (len(seps) != width * lines or (raw[line_ends] != ord("\n")).any()
-            or text.count("\r") != np.count_nonzero(cr)):
+    cr = data[line_ends - 1] == ord("\r")
+    if (len(seps) != width * lines or (data[line_ends] != ord("\n")).any()
+            or block.count("\r") != np.count_nonzero(cr)):
         return None
     # no cell is longer than its line; a length in bytes is never less
     # than in characters
-    longest = int(np.diff(line_ends, prepend=-1).max())
     limit = csv.field_size_limit()
-    if longest > limit and np.diff(seps, prepend=-1).max() > limit + 1:
+    if (np.diff(line_ends, prepend=-1).max() > limit
+            and np.diff(seps, prepend=-1).max() > limit + 1):
         return None
-    data = np.zeros(len(raw) + longest + 8, dtype=np.uint8)
-    data[:len(raw)] = raw
-    words = np.ndarray(len(data) - 7, dtype="<u8", buffer=data,
-                       strides=(1,))
+    words = np.ndarray(size + 1, dtype="<u8", buffer=data, strides=(1,))
     firsts = np.concatenate(([0], line_ends[:-1] + 1))
     lasts = line_ends - cr
     data[lasts] = ord(",")  # after every cell, as in a row
+    # kept at half size while the block's columns are made
+    seps = seps.astype(np.int32 if size < 2**31 else np.int64)
 
     def column(j):
-        return _column(data, words, seps[j - 1::width] + 1 if j else firsts,
-                       seps[j::width] if j < width - 1 else lasts)
+        ends = seps[j::width] if j < width - 1 else lasts
+        starts = seps[j - 1::width] + 1 if j else firsts
+        return _column(data, words, starts.astype(np.intp, copy=False),
+                       ends.astype(np.intp, copy=False))
     return column, lines
 
 
@@ -425,6 +457,7 @@ def _blocks(fh, width):
         block += fh.readline()
         if not (split := _split(block, width)):
             break
+        del block  # its records are in the split's own arrays
         yield *split, None
     reader = csv.reader(chain(io.StringIO(block, newline=""), fh))
     # ends[i] counts the cells through the block's record i; each record's
@@ -450,9 +483,9 @@ def load_csv(path, null_token="", tid_column=None):
 
     ``csv.reader`` reads the header, and ``_blocks`` the body, so the cells
     are ``csv.reader``'s whether a block is split at its bytes or not. A
-    split block is numbered per column from its bytes, which allocates per
-    distinct value, not per cell, so a load leaves the cyclic garbage
-    collector nothing to do. A column's cells are numbered in order while
+    split block is numbered per column from its bytes, which makes no
+    object per cell that the cyclic garbage collector tracks, so a load
+    leaves it nothing to do. A column's cells are numbered in order while
     each block brings only new ones; its value -> code map is built at its
     first repeat or NULL, or, if none comes, on the first lookup after the
     load. A tid column's distinct cells are read by ``_tid``.

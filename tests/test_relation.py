@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,24 @@ def test_load_csv_leaves_no_work_for_older_gc_generations(tmp_path):
     assert [g for g in started if g > 0] == []
 
 
+def test_load_csv_long_cell_among_short_rows(tmp_path):
+    # a cell's words past the first are read for the cells that have them,
+    # so one 20 KB cell among 5,000 short rows costs memory in proportion
+    # to the file, not to the rows times the longest cell (100 MB here)
+    long = "x" * 20_000
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n" + "1,a\n" * 2_500 + "2,%s\n" % long + "1,a\n" * 2_500)
+    tracemalloc.start()
+    try:
+        rel = load_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rel.values("b") == [None, "a", long]
+    assert rel.codes("b").tolist() == [1] * 2_500 + [2] + [1] * 2_500
+    assert peak < 100 * p.stat().st_size
+
+
 NULL_TOKEN = "?"
 grid_cell = st.one_of(st.just(NULL_TOKEN),
                       st.text(alphabet='ab ,"\r\n', max_size=4))
@@ -454,8 +473,8 @@ def _check_like_csv_reader(p, has_tid, chunk_rows):
 # and empty cells next to the non-empty NULL token
 KEY_CELL = st.one_of(
     st.sampled_from(["", NULL_TOKEN, "a", "ab", "ab\x01", "abcdefgh",
-                     "abcdefgh\x01", "éééé", "€€€", "😀😀", "😀😀a",
-                     "a😀€é" * 3]),
+                     "abcdefgh\x01", "abcdefgh" * 2, "abcdefgh" * 2 + "\x01",
+                     "éééé", "€€€", "😀😀", "😀😀a", "a😀€é" * 3]),
     st.text(alphabet="ab\x01é€😀", max_size=12))
 # tids, some of them repeated, malformed or out of int64
 KEY_TID = st.one_of(st.integers(-3, 60).map(str),
@@ -501,8 +520,9 @@ def test_load_csv_matches_csv_reader_on_byte_keys(tmp_path_factory, raw,
 @given(data=st.data(), chunk_rows=st.integers(1, 5))
 def test_load_csv_every_key_in_one_bucket(tmp_path_factory, has_tid, data,
                                           chunk_rows):
-    # a hash that sends every key to one bucket leaves all rows but the
-    # first to the sort, which must still number the cells exactly
+    # a hash that sends every key to one bucket leaves all rows whose key
+    # is not the first row's to the dict, which must still number the
+    # cells exactly
     text, _ = data.draw(key_csvs(st.just(has_tid)))
     raw = data.draw(distinct_csvs(st.just(has_tid)))
     p = tmp_path_factory.mktemp("bucket") / "k.csv"
@@ -511,6 +531,25 @@ def test_load_csv_every_key_in_one_bucket(tmp_path_factory, has_tid, data,
         mp.setattr(relation, "_HASH", 0)
         _check_like_csv_reader(p, has_tid, chunk_rows)
         _check_distinct_numbering(tmp_path_factory, raw, chunk_rows)
+
+
+# cells as long as one another that share their first 8 bytes and differ
+# only in the last byte of a later word, some of them repeated
+SAME_START = ["abcdefgha", "abcdefgh\x01", "abcdefgha", "😀😀a", "😀😀b",
+              "abcdefgh" * 2 + "a", "abcdefgh" * 2 + "\x01", "😀😀b"]
+
+
+@pytest.mark.parametrize("one_bucket", [False, True])
+@pytest.mark.parametrize("chunk_rows", [1, 5])
+def test_load_csv_keys_apart_in_a_later_word(tmp_path, one_bucket,
+                                             chunk_rows):
+    p = tmp_path / "k.csv"
+    p.write_bytes(("c0,c1\n" + "".join(
+        "%s,%s\n" % row for row in zip(SAME_START, SAME_START[::-1]))).encode())
+    with pytest.MonkeyPatch.context() as mp:
+        if one_bucket:
+            mp.setattr(relation, "_HASH", 0)
+        _check_like_csv_reader(p, False, chunk_rows)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, _CHUNK_ROWS])
