@@ -375,9 +375,8 @@ def _column(data, words, starts, ends):
     redo = np.flatnonzero(differ)
     if len(redo):
         row_of = {}  # a cell's bytes -> its first row
-        rep[redo] = list(map(row_of.setdefault,
-                             _joined(data, starts[redo], lens[redo]).split(b","),
-                             redo.tolist()))
+        cells = _joined(data, starts[redo], lens[redo]).split(b",")
+        rep[redo] = list(map(row_of.setdefault, cells, redo.tolist()))
     own = np.flatnonzero(rep == rows)
     rows[own] = np.arange(len(own))  # a first row's index among them
     values = _joined(data, starts[own], lens[own]).decode().split(",")
