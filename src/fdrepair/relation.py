@@ -15,11 +15,12 @@ by indexing the escaped values with the codes. ``load_csv`` reads the
 body in blocks of whole lines. A block that ``csv.reader`` could not read
 differently (no ``"``, NUL or lone ``\r``, every record as wide as the
 header) is split at its separator bytes, and each column is numbered from
-the bytes: one hash pass finds each cell's first equal cell, so only the
-distinct cells are decoded and looked up. From the first block that fails
-that check to the end of the file, ``csv.reader`` parses it. A column whose
-cells are all distinct gets codes 1..n in order and no value -> code map
-until a value is first looked up.
+the bytes: one hash pass over the cells of at most 8 bytes finds each
+one's first equal cell, a dict of bytes groups the longer cells and the
+hash's collisions, and only the distinct cells are decoded and looked up.
+From the first block that fails that check to the end of the file,
+``csv.reader`` parses it. A column whose cells are all distinct gets codes
+1..n in order and no value -> code map until a value is first looked up.
 """
 
 import csv
@@ -316,18 +317,6 @@ def _not_utf8(path):
             offset += len(line)
 
 
-def _cell_words(words, starts, lens):
-    """All the words of the cells at ``starts``, ``lens`` bytes long, in one
-    array: each cell's bytes as 8-byte words, zero past its end; also each
-    word's place in its cell and each cell's first word."""
-    count = (lens + 7) // 8
-    begin = np.cumsum(count) - count
-    place = np.arange(begin[-1] + count[-1]) - np.repeat(begin, count)
-    at = np.repeat(starts, count) + 8 * place
-    left = np.minimum(np.repeat(lens, count) - 8 * place, 8)
-    return words[at] & _LOW[left], place, begin
-
-
 def _joined(data, starts, lens):
     """The bytes of the cells at ``starts``, each with the separator after
     it."""
@@ -342,36 +331,27 @@ def _column(data, words, starts, ends):
     ``data[starts[i]:ends[i]]`` and is followed by ``,``; ``data`` is the
     block's bytes and 8 zeros, and ``words[k]`` the 8 of them from ``k``.
 
-    A cell's key is its bytes as little-endian 8-byte words, zero past its
-    end; the block holds no NUL, so equal keys mean equal cells. Each row is
-    compared with the first row of its hash bucket. The rows that differ
-    hold every key that shares a bucket with an earlier key, and a dict of
-    their bytes finds their first rows, so the result is exact whatever
-    the hash. Each step is one pass over the rows or over the words of the
-    cells longer than one word, so the work follows the block's bytes.
-    Only the distinct cells are decoded, with one ``decode`` and one
-    ``split``.
+    A cell of at most 8 bytes is keyed by them as one little-endian word,
+    zero past its end; the block holds no NUL, so equal keys and lengths
+    mean equal cells. Each row is compared with the first row of its hash
+    bucket. The rows that differ, and the cells longer than one word, go to
+    a dict of their bytes, which finds their first rows: it gets every
+    row whose key shares a bucket with an earlier, different key, so the
+    result is exact whatever the hash. Each step is one pass over the rows
+    or over the bytes of the rows sent to the dict, so the work follows
+    the block's bytes. Only the distinct cells are decoded, with one
+    ``decode`` and one ``split``.
     """
     n, lens = len(starts), ends - starts
     first = words[starts] & _LOW[np.minimum(lens, 8)]
     mixed = first * _HASH  # wraps around, as arrays do silently
-    long = np.flatnonzero(lens > 8)
-    if len(long):
-        key, place, begin = _cell_words(words, starts[long], lens[long])
-        mixed[long] = np.bitwise_xor.reduceat(
-            (key ^ place.astype(np.uint64)) * _HASH, begin)
     bits = (2 * n).bit_length()
     bucket = (mixed >> (64 - bits)).astype(np.intp)
     rows = np.arange(n)
     head = np.full(1 << bits, n)
     np.minimum.at(head, bucket, rows)
     rep = head[bucket]  # each row's first row with an equal key
-    differ = (first[rep] != first) | (lens[rep] != lens)
-    check = long[~differ[long] & (rep[long] != long)]
-    if len(check):
-        key, _, begin = _cell_words(words, starts[check], lens[check])
-        other, _, _ = _cell_words(words, starts[rep[check]], lens[check])
-        differ[check] = np.logical_or.reduceat(key != other, begin)
+    differ = (first[rep] != first) | (lens[rep] != lens) | (lens > 8)
     redo = np.flatnonzero(differ)
     if len(redo):
         row_of = {}  # a cell's bytes -> its first row

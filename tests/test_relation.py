@@ -253,9 +253,9 @@ def test_load_csv_leaves_no_work_for_older_gc_generations(tmp_path):
 
 
 def test_load_csv_long_cell_among_short_rows(tmp_path):
-    # a cell's words past the first are read for the cells that have them,
-    # so one 20 KB cell among 5,000 short rows costs memory in proportion
-    # to the file, not to the rows times the longest cell (100 MB here)
+    # a cell longer than one word is grouped by a dict of its bytes, so
+    # one 20 KB cell among 5,000 short rows costs memory in proportion to
+    # the file, not to the rows times the longest cell (100 MB here)
     long = "x" * 20_000
     p = tmp_path / "d.csv"
     p.write_text("a,b\n" + "1,a\n" * 2_500 + "2,%s\n" % long + "1,a\n" * 2_500)
@@ -534,9 +534,11 @@ def test_load_csv_every_key_in_one_bucket(tmp_path_factory, has_tid, data,
 
 
 # cells as long as one another that share their first 8 bytes and differ
-# only in the last byte of a later word, some of them repeated
+# only in the last byte of a later word, some of them repeated, and a cell
+# of just those 8 bytes, which only its length tells apart from them
 SAME_START = ["abcdefgha", "abcdefgh\x01", "abcdefgha", "😀😀a", "😀😀b",
-              "abcdefgh" * 2 + "a", "abcdefgh" * 2 + "\x01", "😀😀b"]
+              "abcdefgh" * 2 + "a", "abcdefgh" * 2 + "\x01", "😀😀b",
+              "abcdefgh"]
 
 
 @pytest.mark.parametrize("one_bucket", [False, True])
