@@ -125,22 +125,17 @@ def mixed_rows(groups, codes):
 def violates(rel, fd, null_equals_null=True):
     """Tid groups sharing lhs values but showing >= 2 distinct rhs values.
 
-    Groups come in order of their first row and list their tids in row
-    order. Only violated groups are materialised as tid lists, as in a
-    stripped-partition check.
+    The groups are listed in one dict pass over the rows of violated
+    groups, keyed by group id: groups come in order of their first row and
+    list their tids in row order. Only violated groups still become tid
+    lists, as in a stripped-partition check.
     """
     ids = group_rows(rel, sorted(fd.lhs), null_equals_null)
-    bad = mixed_rows(ids, rel.codes(fd.rhs))
-    if not bad.any():
-        return []
-    rows = np.flatnonzero(bad)
-    ids = ids[rows]
-    _, first, group_of = np.unique(ids, return_index=True, return_inverse=True)
-    first = first[group_of]  # position of each row's first group member
-    order = np.argsort(first, kind="stable")
-    rows, first = rows[order], first[order]
-    cuts = np.flatnonzero(np.diff(first)) + 1
-    return [part.tolist() for part in np.split(rel.tid_array()[rows], cuts)]
+    rows = np.flatnonzero(mixed_rows(ids, rel.codes(fd.rhs)))
+    groups = {}
+    for group, tid in zip(ids[rows].tolist(), rel.tid_array()[rows].tolist()):
+        groups.setdefault(group, []).append(tid)
+    return list(groups.values())
 
 
 def parse_fd(line, schema=None):

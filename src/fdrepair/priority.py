@@ -148,29 +148,25 @@ def _vio_pick(values, null_counts, width, rng):
     return rng.choice(sorted(values, key=lambda v: (v is None, v)))
 
 
-def _minority_rows(rel, fd, rng, null_equals_null):
-    """Mask of the rows whose rhs value differs from their lhs group's
-    majority value.
+def _vio_rows(rel, a, cover, rng, null_equals_null):
+    """Mask of the rows whose ``a`` value differs from their lhs group's
+    majority value under some FD of ``cover`` with rhs ``a``.
 
     Several values sharing a group's top count are settled by
     ``_vio_pick``, NULL among them, groups in order of their first row.
     NULL keys under NULL-unequal semantics are groups of one, which never
     tie and never differ.
     """
-    ids = group_rows(rel, sorted(fd.lhs), null_equals_null)
-    codes = rel.codes(fd.rhs)
-    if not len(codes):
-        return np.zeros(0, dtype=bool)
-    _, winner = _majority(rel, fd, _vio_pick, rng, ids, codes,
-                          np.arange(len(codes)))
-    return codes != winner
-
-
-def _vio_rows(rel, a, cover, rng, null_equals_null):
-    minority = np.zeros(len(rel), dtype=bool)
+    codes = rel.codes(a)
+    minority = np.zeros(len(codes), dtype=bool)
+    if not len(codes):  # zero rows hold no group to tally
+        return minority
+    rows = np.arange(len(codes))
     for fd in cover:
         if fd.rhs == a:
-            minority |= _minority_rows(rel, fd, rng, null_equals_null)
+            ids = group_rows(rel, sorted(fd.lhs), null_equals_null)
+            _, winner = _majority(rel, fd, _vio_pick, rng, ids, codes, rows)
+            minority |= codes != winner
     return minority
 
 

@@ -130,6 +130,18 @@ def test_repair_fn_map_repeated_attribute(workdir, capsys):
     assert not (workdir / "r.csv").exists()
 
 
+def test_repair_fn_map_line_without_equals(workdir, capsys):
+    fn_map = workdir / "fns.txt"
+    fn_map.write_text("a1 = max\na2 wv\n")
+    assert main(["repair", "--data", str(workdir / "data.csv"),
+                 "--fds", str(workdir / "rules.txt"),
+                 "--out", str(workdir / "r.csv"), "--fn-map", str(fn_map),
+                 "--seed", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: malformed fn-map line 'a2 wv', expected attr=fn\n")
+    assert not (workdir / "r.csv").exists()
+
+
 def _priority_inputs(tmp_path, priority_text):
     """Two cyclic classes, [a, b] and [c, d], and a priority file."""
     data, fds, prio = (tmp_path / n for n in ("d.csv", "f.txt", "p.txt"))
@@ -217,6 +229,15 @@ def test_partition_listing(workdir, capsys):
     assert capsys.readouterr().out.splitlines() == expected
     assert any(line.startswith("  pilot:") for line in expected)
     assert any(line.startswith("  non-pilot:") for line in expected)
+
+
+def test_partition_lists_non_repairable_attributes(tmp_path, capsys):
+    data, fds = tmp_path / "d.csv", tmp_path / "f.txt"
+    data.write_text("a,b,z\n1,x,q\n1,y,r\n")
+    fds.write_text("a -> b\n")
+    assert main(["partition", "--data", str(data), "--fds", str(fds)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "C1: a", "C2: b", "  pilot:     a -> b", "non-repairable: z"]
 
 
 def test_evaluate_round_trip(workdir, capsys):

@@ -234,6 +234,12 @@ def test_save_fds_refuses_an_fd_that_reads_back_otherwise(bad, tmp_path):
     assert not path.exists()
 
 
+def test_fd_rejects_an_empty_lhs():
+    with pytest.raises(ValueError) as exc:
+        FD(frozenset(), "a")
+    assert str(exc.value) == "FD left-hand side must be non-empty"
+
+
 def test_parse_fd_rejects_malformed():
     with pytest.raises(ValueError):
         parse_fd("a b c")

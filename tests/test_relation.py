@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fdrepair import (FD, Relation, Schema, evaluate, load_csv, save_csv,
-                      swipe)
+from fdrepair import (FD, Relation, Schema, SchemaError, evaluate, load_csv,
+                      save_csv, swipe)
 from fdrepair import relation
 from fdrepair.relation import _CHUNK_ROWS, NULL
 
@@ -58,6 +58,40 @@ def test_duplicate_tid_rejected():
     assert rel.tids == [1, 2]
     rel.append(9, ["z"])
     assert [rel.get(t, "a") for t in (1, 2, 9)] == ["x", "y", "z"]
+
+
+def test_malformed_relation_errors():
+    with pytest.raises(SchemaError) as exc:
+        Schema(["a", "a"])
+    assert str(exc.value) == "duplicate attribute names: ['a', 'a']"
+    with pytest.raises(SchemaError) as exc:
+        Schema(["a"]).index("b")
+    assert str(exc.value) == "unknown attribute 'b'"
+    with pytest.raises(ValueError) as exc:
+        Relation(Schema(["a"]), [1, 2], [["x"]])
+    assert str(exc.value) == "tids and rows must have equal length"
+    with pytest.raises(SchemaError) as exc:
+        Relation(Schema(["a"]), [1], [["x", "y"]])
+    assert str(exc.value) == "row arity 2 does not match schema arity 1"
+    rel = make_rel(["a", "b"], [["x", "y"]])
+    with pytest.raises(SchemaError) as exc:
+        rel.append(2, ["z"])
+    assert str(exc.value) == "row arity 1 does not match schema arity 2"
+    with pytest.raises(KeyError) as exc:
+        rel.get(7, "a")
+    assert exc.value.args == ("unknown tid 7",)
+
+
+def test_load_csv_empty_file_and_missing_tid_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("")
+    with pytest.raises(ValueError) as exc:
+        load_csv(path)
+    assert str(exc.value) == "%s: empty file, expected a header row" % path
+    path.write_text("a,b\n1,2\n")
+    with pytest.raises(SchemaError) as exc:
+        load_csv(path, tid_column="id")
+    assert str(exc.value) == "tid column 'id' not in header"
 
 
 def test_tid_array_is_read_only():

@@ -74,6 +74,12 @@ def test_builtins_preservative_flags():
         assert get_function(name).preservative
 
 
+def test_max_value_empty_bag():
+    with pytest.raises(ValueError) as exc:
+        max_value([])
+    assert str(exc.value) == "empty bag"
+
+
 def test_preservative_flag_is_checked():
     outside = RepairFunction("outside", True, lambda vs, ns, w, rng: "z")
     with pytest.raises(ValueError):
