@@ -47,9 +47,7 @@ class DisjointSetForest:
         n = len(comp)
         if len(labels) != n:
             raise ValueError("%d labels for %d rows" % (len(labels), n))
-        if not n:
-            return
-        least = np.full(labels.max() + 1, n)
+        least = np.full(labels.max(initial=0) + 1, n)
         if self.class_count == n:
             np.minimum.at(least, labels, comp)
             self._root = least[labels]

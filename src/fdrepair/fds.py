@@ -113,9 +113,7 @@ def mixed_rows(groups, codes):
     Each group's slot is given some member's code by one scatter; a group
     is mixed exactly when one of its rows differs from that code.
     """
-    if not len(groups):
-        return np.zeros(0, dtype=bool)
-    some = np.empty(groups.max() + 1, dtype=codes.dtype)
+    some = np.empty(groups.max(initial=0) + 1, dtype=codes.dtype)
     some[groups] = codes
     mixed = np.zeros(len(some), dtype=bool)
     mixed[groups[some[groups] != codes]] = True

@@ -83,10 +83,17 @@ def _dense(ids):
     in ascending order: returns each id's number and how many there are, as
     ``np.unique(ids, return_inverse=True)`` would, from a presence mask
     instead of a sort."""
-    present = np.zeros(ids.max() + 1, dtype=bool)
+    present = np.zeros(ids.max(initial=0) + 1, dtype=bool)
     present[ids] = True
     rank = np.cumsum(present) - 1
     return rank[ids], int(rank[-1]) + 1
+
+
+def _fits_grid(n_groups, k, n_rows):
+    """True if a table of ``n_groups`` groups by codes below ``k`` has at
+    most ``_GRID_PER_ROW`` cells per row of ``n_rows``: ``_tally`` then
+    sums on that whole grid."""
+    return n_groups * k <= _GRID_PER_ROW * n_rows
 
 
 def _sums(slots, weights, size):
@@ -109,20 +116,21 @@ def _tally(groups, codes, weights=None):
     Only pairs that occur in the rows can be tops. Totals are exact integers.
 
     Groups are numbered by ``_dense``. With ``g`` groups and codes below
-    ``k`` there are two paths, chosen by size alone. If the ``g * k`` grid
-    has at most ``_GRID_PER_ROW`` cells per row, the sums go into the whole
-    grid (``np.bincount``, or ``np.add.at`` when weighted) and a presence
-    mask keeps the pairs that occur. Otherwise ``np.unique`` sorts the
-    pairs that occur and the sums go per pair.
+    ``k`` there are two paths, chosen by ``_fits_grid`` alone. On the grid
+    path ``np.bincount`` counts the rows of every pair of the ``g * k``
+    grid, and the pairs it counts are the ones that occur, so a pair of
+    zero weight occurs too; weighted sums go into the whole grid by
+    ``np.add.at``. Otherwise ``np.unique`` sorts the pairs that occur and
+    the sums go per pair.
     """
     row_group, n_groups = _dense(groups)
-    k = int(codes.max()) + 1
+    k = int(codes.max(initial=0)) + 1
     keys = row_group * k + codes
-    if n_groups * k <= _GRID_PER_ROW * len(keys):
-        occurs = np.zeros(n_groups * k, dtype=bool)
-        occurs[keys] = True
-        pairs = np.flatnonzero(occurs)
-        totals = _sums(keys, weights, n_groups * k)[pairs]
+    if _fits_grid(n_groups, k, len(keys)):
+        counts = np.bincount(keys, minlength=n_groups * k)
+        pairs = np.flatnonzero(counts)  # the pairs that occur
+        totals = (counts if weights is None
+                  else _sums(keys, weights, len(counts)))[pairs]
     else:
         pairs, row_pair = np.unique(keys, return_inverse=True)
         totals = _sums(row_pair, weights, len(pairs))
@@ -159,8 +167,6 @@ def _vio_rows(rel, a, cover, rng, null_equals_null):
     """
     codes = rel.codes(a)
     minority = np.zeros(len(codes), dtype=bool)
-    if not len(codes):  # zero rows hold no group to tally
-        return minority
     rows = np.arange(len(codes))
     for fd in cover:
         if fd.rhs == a:
@@ -263,10 +269,9 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
 
     A voting function (``fn.vote_exponent`` set) votes on codes over all
     classes at once (``_majority``, as Vio does), summing weights per
-    (class, code) pair. If the forest's table of classes by rhs codes
-    (``class_count * (k + 1)`` cells, ``k`` the largest code) has at most
-    ``_GRID_PER_ROW`` cells per row, the vote runs on every row and counts
-    the mixed classes itself; otherwise it runs on the rows of mixed
+    (class, code) pair. If the forest's table of classes by rhs codes fits
+    ``_tally``'s grid (``_fits_grid``), the vote runs on every row and
+    counts the mixed classes itself; otherwise it runs on the rows of mixed
     classes only, found by ``mixed_rows``. A class whose top is one code
     takes it, which is the value ``fn`` would return, since no tie arises;
     each such winner is a (class, code) pair occurring in the class, so
@@ -280,10 +285,8 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
     update_dsf(rel, fd, dsf, null_equals_null)
     codes = rel.codes(fd.rhs)
     comp = dsf.roots()
-    if not len(codes):
-        return 0
-    if fn.vote_exponent is not None and (dsf.class_count * (int(
-            codes.max()) + 1) <= _GRID_PER_ROW * len(codes)):
+    if fn.vote_exponent is not None and _fits_grid(
+            dsf.class_count, int(codes.max(initial=0)) + 1, len(codes)):
         rows = slice(None)  # _tally's grid holds every class: vote on all
     else:
         rows = np.flatnonzero(mixed_rows(comp, codes))

@@ -159,19 +159,24 @@ class Relation:
         if len(tids) != len(rows):
             raise ValueError("tids and rows must have equal length")
         for row in rows:
-            if len(row) != len(schema):
-                raise SchemaError("row arity %d does not match schema arity %d"
-                                  % (len(row), len(schema)))
-        self._extend(tids, [(col, None) for col in zip(*rows)])
+            self._check_arity(row)
+        local = np.arange(len(rows))
+        self._extend(tids, [(col, local) for col in zip(*rows)])
+
+    def _check_arity(self, row):
+        """Raise SchemaError unless ``row`` has one cell per attribute."""
+        if len(row) != len(self.schema):
+            raise SchemaError("row arity %d does not match schema arity %d"
+                              % (len(row), len(self.schema)))
 
     def _extend(self, tids, columns):
         """Append rows given as their int64 tids, which the caller has
-        checked are new, and one (values, local) pair per attribute: the
-        cells, one per row if ``local`` is None, or else distinct values
-        and each row's index into them. Empty storage takes the rows
-        exactly; after that it grows to the next power of two rows, so
-        appending costs amortized O(1) per cell, and a load's memory does
-        not depend on how many rows each of its blocks holds."""
+        checked are new, and one (values, local) pair per attribute: values
+        (the cells, or only the distinct ones) and each row's index into
+        them. Empty storage takes the rows exactly; after that it grows to
+        the next power of two rows, so appending costs amortized O(1) per
+        cell, and a load's memory does not depend on how many rows each of
+        its blocks holds."""
         n, end = self._n, self._n + len(tids)
         if end > len(self._tids):
             spare = (1 << (end - 1).bit_length() if n else end) - n
@@ -180,8 +185,7 @@ class Relation:
         self._tids[n:end] = tids
         for d, codes, (values, local) in zip(self._dicts, self._data[:, n:end],
                                              columns):
-            lut = d.lookup(values, end - n)
-            codes[:] = lut if local is None else lut[local]
+            codes[:] = d.lookup(values, end - n)[local]
         self._n = end
 
     def __len__(self):
@@ -198,13 +202,11 @@ class Relation:
         return tids
 
     def append(self, tid, row):
-        if len(row) != len(self.schema):
-            raise SchemaError("row arity %d does not match schema arity %d"
-                              % (len(row), len(self.schema)))
+        self._check_arity(row)
         tids = _unique_tids([tid])
         if tids[0] in self._pos:
             raise ValueError("duplicate tid %d" % tids[0])
-        self._extend(tids, [((value,), None) for value in row])
+        self._extend(tids, [((value,), np.arange(1)) for value in row])
         self._pos[int(tids[0])] = len(self) - 1
 
     @cached_property
@@ -447,7 +449,7 @@ def _blocks(fh, width):
         fields = np.diff(ends, prepend=0)
         ragged = np.flatnonzero(fields != width)
         n = int(ragged[0]) if len(ragged) else len(fields)
-        yield (lambda j: (cells[j:n * width:width], None)), n, (
+        yield (lambda j: (cells[j:n * width:width], np.arange(n))), n, (
             "expected %d fields, got %d" % (width, fields[n])
             if len(ragged) else None)
         cells.clear()
@@ -520,12 +522,10 @@ def _load_csv(path, null_token, tid_column, errors):
                 tids = list(map(_tid, values))
                 if None in tids:  # the first bad value is the first bad row's
                     bad = tids.index(None)
-                    n = bad if local is None else int(np.argmax(local == bad))
+                    n = int(np.argmax(local == bad))
                     fault = start + n, "malformed tid %r" % values[bad]
                     del tids[bad:]
-                tids = np.array(tids, dtype=np.int64)
-                if local is not None:
-                    tids = tids[local[:n]]
+                tids = np.array(tids, dtype=np.int64)[local[:n]]
             if fault is not None:
                 _raise_first_fault(
                     path, np.concatenate((rel.tid_array(), tids)), fault)
