@@ -279,13 +279,17 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
     handed to ``fn`` with its tied values only, once each at zero NULLs,
     which settles it as the whole bag would: the same value and the same
     rng draw. Any other function is called once per class on its whole
-    bag, values and NULL counts in tid order, after ``mixed_rows``. Calls go
-    in order of the classes' least tids, through ``_call_per_class``.
+    bag, values and NULL counts in tid order, after ``mixed_rows``; so is a
+    voting function whose totals could pass int64 (``n * width ** e`` for
+    ``n`` rows, at least ``2 ** 63``). Calls go in order of the classes'
+    least tids, through ``_call_per_class``.
     """
     update_dsf(rel, fd, dsf, null_equals_null)
     codes = rel.codes(fd.rhs)
     comp = dsf.roots()
-    if fn.vote_exponent is not None and _fits_grid(
+    e = fn.vote_exponent
+    vote = e is not None and len(codes) * len(rel.schema) ** e < 2 ** 63
+    if vote and _fits_grid(
             dsf.class_count, int(codes.max(initial=0)) + 1, len(codes)):
         rows = slice(None)  # _tally's grid holds every class: vote on all
     else:
@@ -294,7 +298,7 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
             return 0
     tids = rel.tid_array()[rows]
     old = codes[rows]
-    if fn.vote_exponent is None:
+    if not vote:
         row_class, n_classes = _dense(comp[rows])
         least = _group_min(row_class, tids, n_classes)
         order = np.lexsort((tids, least[row_class]))
@@ -303,8 +307,8 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True):
             rel, fd, fn, rng, least[row_class][order], old[order],
             _null_counts(rel, rows[order]))
     else:
-        weights = ((len(rel.schema) - _null_counts(rel, rows))
-                   ** fn.vote_exponent if fn.vote_exponent else None)
+        weights = ((len(rel.schema) - _null_counts(rel, rows)) ** e
+                   if e else None)
         n_classes, new = _majority(rel, fd, fn, rng, comp[rows], old, tids,
                                    weights)
     if n_classes:

@@ -160,8 +160,7 @@ class Relation:
             raise ValueError("tids and rows must have equal length")
         for row in rows:
             self._check_arity(row)
-        local = np.arange(len(rows))
-        self._extend(tids, [(col, local) for col in zip(*rows)])
+        self._extend(tids, [(col, np.arange(len(rows))) for col in zip(*rows)])
 
     def _check_arity(self, row):
         """Raise SchemaError unless ``row`` has one cell per attribute."""

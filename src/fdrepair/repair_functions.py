@@ -40,29 +40,35 @@ def vote(values, null_counts, schema_width, rng, exponent):
     return _break_tie([v for v, w in weights.items() if w == best], rng)
 
 
-def _numeric_or_text_key(values):
+def _numeric_key(values):
+    """The key of numeric order if every value parses as a number and none
+    as NaN (the one float unequal to itself), which no order ranks; else
+    None, for text order."""
     try:
-        return {v: float(v) for v in values}.__getitem__
+        numbers = {v: float(v) for v in values}
     except (TypeError, ValueError):
-        return lambda v: v
+        return None
+    return numbers.get if all(x == x for x in numbers.values()) else None
 
 
 def max_value(values):
     """Maximum bag member; numeric order when every constant parses as a
-    number, else lexicographic. NULL ranks below every constant."""
+    number and none as NaN, else lexicographic. NULL ranks below every
+    constant."""
     if not values:
         raise ValueError("empty bag")
     constants = [v for v in values if v is not None]
     if not constants:
         return None
-    return max(constants, key=_numeric_or_text_key(constants))
+    return max(constants, key=_numeric_key(constants))
 
 
 @dataclass
 class RepairFunction:
     """A named bag-to-value function plus its preservative capability flag.
 
-    A set ``vote_exponent`` e marks a voting function, which picks as
+    A set ``vote_exponent`` e, a non-negative int (anything else but None
+    raises ValueError), marks a voting function, which picks as
     ``vote(..., exponent=e)`` does; ``MV`` and ``WV`` are built from it.
     ``fix`` trusts the exponent: it votes on codes itself and calls the
     function only for a class whose top is tied, handing it the tied values
@@ -73,6 +79,12 @@ class RepairFunction:
     preservative: bool
     _pick: callable
     vote_exponent: int | None = None
+
+    def __post_init__(self):
+        e = self.vote_exponent
+        if e is not None and not (isinstance(e, int) and e >= 0):
+            raise ValueError("repair function %s: vote_exponent must be None "
+                             "or a non-negative int, not %r" % (self.name, e))
 
     def __call__(self, values, null_counts, schema_width, rng):
         value = self._pick(values, null_counts, schema_width, rng)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 from itertools import repeat
 from unittest import mock
 
@@ -15,7 +16,8 @@ from fdrepair.priority import (_GRID_PER_ROW, RepairStats, _tally,
                                estimate_priority, fix, pilot_fds,
                                priority_repair, shares_forest,
                                skip_revision_unary, update_dsf, vio)
-from fdrepair.repair_functions import BUILTINS, MAX, MV, WV, RepairFunction
+from fdrepair.repair_functions import (BUILTINS, MAX, MV, WV, RepairFunction,
+                                       vote)
 from fdrepair.swipe import plan, resolve_functions
 from helpers import random_instance
 
@@ -500,6 +502,35 @@ def test_fix_satisfied_fd_unchanged(hospital_snippet):
     d = DisjointSetForest(len(rel))
     assert fix(rel, PROV_NAME, d, MV, random.Random(0)) == 0
     assert rel.rows == hospital_snippet.rows
+
+
+@pytest.mark.parametrize("cells_per_row", [*GRIDS, _GRID_PER_ROW])
+def test_vote_stays_exact_past_int64(cells_per_row):
+    # weights of 10 ** 20 and 9 ** 20 pass int64: two x rows with no NULL
+    # outweigh three y rows with one NULL each, for fix as for the function
+    w20 = RepairFunction("w20", True, partial(vote, exponent=20),
+                         vote_exponent=20)
+    full = ["1"] * 8
+    rel = Relation(Schema(["k", "v", *("c%d" % i for i in range(8))]),
+                   range(1, 6), [["g", "x", *full]] * 2
+                   + [["g", "y", None, *full[1:]]] * 3)
+    assert w20(rel.column("v"), [0, 0, 1, 1, 1], 10, random.Random(0)) == "x"
+    with grid(cells_per_row):
+        assert fix(rel, FD(frozenset("k"), "v"), DisjointSetForest(len(rel)),
+                   w20, random.Random(0)) == 1
+    assert rel.column("v") == ["x"] * 5
+
+
+@pytest.mark.parametrize("exponent", [0.5, -1, 4.0, "4"])
+def test_vote_exponent_checked_at_construction(exponent):
+    # fix sums (width - NULLs) ** exponent as exact int64 weights
+    with pytest.raises(ValueError) as exc:
+        RepairFunction("w", True, partial(vote, exponent=exponent),
+                       vote_exponent=exponent)
+    assert str(exc.value) == ("repair function w: vote_exponent must be None "
+                              "or a non-negative int, not %r" % (exponent,))
+    for fine in (None, 0, 4, 20):
+        assert RepairFunction("w", True, MV, vote_exponent=fine)
 
 
 def test_fix_counts_only_conflicted_classes():

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +63,14 @@ def test_max_singleton():
 def test_max_numeric_order():
     assert max_value(["10", "9"]) == "10"
     assert max_value(["10", "9x"]) == "9x"  # lexicographic fallback
+
+
+def test_max_with_nan_takes_text_order_in_every_bag_order():
+    # NaN has no numeric rank, so a bag holding one is ordered as text
+    for bag in permutations(["nan", "1", "2"]):
+        assert max_value(list(bag)) == "nan"
+    for bag in permutations([None, "NaN", "10", "9"]):
+        assert max_value(list(bag)) == "NaN"
 
 
 def test_max_null_is_minimum():

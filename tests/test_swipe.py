@@ -1,7 +1,9 @@
 import logging
 import random
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,8 +11,10 @@ import fdrepair
 from fdrepair import (FD, GenConfig, Relation, RepairFunction, Schema,
                       SchemaError, evaluate, generate, swipe)
 from fdrepair.dsf import DisjointSetForest
-from fdrepair.fds import violates
-from fdrepair.priority import update_dsf, vio
+from fdrepair import priority
+from fdrepair.fds import mixed_rows, violates
+from fdrepair.priority import _tally, fix, update_dsf, vio
+from fdrepair.repair_functions import BUILTINS
 from helpers import random_relation
 
 
@@ -84,10 +88,28 @@ def test_zero_row_relation(null_equals_null):
     rel = Relation(Schema(["a", "b", "c"]))
     fds = [FD(frozenset("a"), "b"), FD(frozenset("b"), "a"),
            FD(frozenset("ab"), "c")]
-    out = swipe(rel, fds, seed=0, null_equals_null=null_equals_null)
-    assert out.repaired.rows == []
-    assert out.changes() == []
-    assert out.cells_changed == 0
+    for repair_fn in BUILTINS:
+        out = swipe(rel, fds, repair_fn, seed=0,
+                    null_equals_null=null_equals_null)
+        assert out.repaired.rows == []
+        assert out.changes() == []
+        assert out.cells_changed == 0
+    # fix on both of its paths: no grid, and a grid holding every forest
+    for cells_per_row in (0, 10 ** 9):
+        with mock.patch.object(priority, "_GRID_PER_ROW", cells_per_row):
+            for fn in BUILTINS.values():
+                for fd in fds:
+                    assert fix(rel, fd, DisjointSetForest(len(rel)), fn,
+                               random.Random(0), null_equals_null) == 0
+    # the kernels take zero rows
+    labels, codes = np.empty(0, dtype=np.int64), rel.codes("a")
+    assert mixed_rows(labels, codes).tolist() == []
+    for weights in (None, labels):
+        *counts, tops = _tally(labels, codes, weights)
+        assert [len(a) for a in (*counts, *tops)] == [0] * 6
+    d = DisjointSetForest(0)
+    d.merge(labels)
+    assert d.class_count == 0 and d.roots().tolist() == []
     for fd in fds:
         assert violates(rel, fd, null_equals_null) == []
         d = DisjointSetForest(len(rel))
