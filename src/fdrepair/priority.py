@@ -7,40 +7,16 @@ independent per-FD majority resolution (Vio), the earlier its FDs run.
 Each FD in this order has a pending flag, and the lowest flagged FD is
 polled next. A disjoint set forest per attribute that some FD enters, over
 the relation's row positions, records which tuples must end up with equal
-values; fixing an FD merges forest classes and rewrites every multi-valued
-class with the attribute's repair function. When a fix changes an
-attribute appearing in the lhs of an already-processed FD, that FD is
-flagged again for revision. Unary FDs whose lhs attribute uses a
-preservative function skip that step, but only in classes where the skip
-is proven sound: cyclic unary classes of three or more attributes, which
-share one forest built from every FD of the class before the first poll
-(see ``shares_forest``), and, under NULL-equal semantics, classes of at
-most two attributes. Every FD of a class then holds once its repair
-drains.
+values; fixing an FD merges forest classes and rewrites every class that
+shows more than one value. When a fix changes an attribute in the lhs of
+an already-processed FD, that FD is flagged again for revision, except
+where skipping it is proven sound (``skip_revision_unary``). Every FD of a
+class then holds once its repair drains.
 
-All of it runs on the relation's integer codes. One grouping primitive,
-``group_rows``, turns an lhs into one group id per row, which
-``update_dsf`` hands to the forest as one merge's labels. One counting
-kernel, ``_tally``, counts the codes of each group and sums votes per
-(group, code) pair both for Vio (lhs groups, one vote per row) and for the
-array vote ``fix`` runs for ``mv``/``wv`` (forest classes, weighted as the
-function declares). It numbers groups from a presence mask rather than a
-sort (``_dense``) and has two paths, chosen by size alone: with at most
-``_GRID_PER_ROW`` (group, code) cells per row it sums on the whole grid
-with ``np.bincount``; past that it sorts the pairs that occur with
-``np.unique``. When the forest's (class, code) table fits that grid, the
-vote tallies every class and its code counts tell which classes hold two
-or more rhs values; a class of one code keeps it. Otherwise, and for
-``max`` and user functions, ``fix`` first picks out the rows of such
-classes by one scatter and compare (``mixed_rows``) and works on those
-alone. A group whose top is tied is settled the same way for both,
-by one per-group call (``_majority``): its tied values are handed to a
-picker, groups in order of their least key. Vio's picker (``_vio_pick``)
-draws among all tied values, NULL last, groups in order of their first
-row; the vote hands them to the repair function, whose own tie rule draws,
-classes in order of their least tid. ``max`` and user-supplied functions
-are called once per class on the whole bag. Results and the seeded rng
-stream are those of a row-by-row run.
+All of it runs on the relation's integer codes, in whole-array passes, yet
+results and the seeded rng stream are those of a row-by-row run: a pass
+settles every group whose top is one value, and each tied group is handed
+to its picker in the order a row loop reaches it (``_majority``).
 """
 
 import logging

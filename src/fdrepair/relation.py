@@ -8,19 +8,8 @@ Storage is columnar and dictionary-encoded: each attribute holds one
 ``int32`` code per row plus a list mapping codes back to values, and code
 ``NULL`` (0) is reserved for NULL in every attribute. Within one attribute,
 equal codes mean equal values, so grouping and voting run on integer
-arrays (``codes``), as do tids (``tid_array``). ``rows``, ``column``,
-``get``, ``row_of`` and ``tids`` decode. ``save_csv`` does not: it writes
-from the dictionaries, escaping each value once and emitting rows in blocks
-by indexing the escaped values with the codes. ``load_csv`` reads the
-body in blocks of whole lines. A block that ``csv.reader`` could not read
-differently (no ``"``, NUL or lone ``\r``, every record as wide as the
-header) is split at its separator bytes, and each column is numbered from
-the bytes: one hash pass over the cells of at most 8 bytes finds each
-one's first equal cell, a dict of bytes groups the longer cells and the
-hash's collisions, and only the distinct cells are decoded and looked up.
-From the first block that fails that check to the end of the file,
-``csv.reader`` parses it. A column whose cells are all distinct gets codes
-1..n in order and no value -> code map until a value is first looked up.
+arrays (``codes``), as do tids (``tid_array``); only ``rows``, ``column``,
+``get``, ``row_of`` and ``tids`` decode.
 """
 
 import csv

@@ -5,11 +5,10 @@ hence idempotent and unable to introduce values absent from the input.
 NULL participates as an ordinary candidate in the voting functions but
 loses every tie against a constant; for max it is the minimum.
 
-``mv`` and ``wv`` are voting functions (``RepairFunction.vote_exponent``):
-``priority.fix`` counts their votes over all classes at once and calls
-them only for a class whose top is tied, with just its tied values, to
-settle the tie. ``max`` and user-supplied functions are called once per
-class on its whole bag.
+``mv`` and ``wv`` are voting functions (``RepairFunction.vote_exponent``),
+whose votes ``priority.fix`` counts itself wherever int64 holds their
+totals, calling them only to settle a tied class. ``max`` and
+user-supplied functions are called once per class on its whole bag.
 """
 
 from collections import Counter
