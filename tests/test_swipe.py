@@ -9,9 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import fdrepair
 from fdrepair import (FD, GenConfig, Relation, RepairFunction, Schema,
-                      SchemaError, evaluate, generate, swipe)
+                      SchemaError, evaluate, generate, priority, swipe)
 from fdrepair.dsf import DisjointSetForest
-from fdrepair import priority
 from fdrepair.fds import mixed_rows, violates
 from fdrepair.priority import _tally, fix, update_dsf, vio
 from fdrepair.repair_functions import BUILTINS
@@ -94,7 +93,8 @@ def test_zero_row_relation(null_equals_null):
         assert out.repaired.rows == []
         assert out.changes() == []
         assert out.cells_changed == 0
-    # fix on both of its paths: no grid, and a grid holding every forest
+    # fix at either extreme grid size: zero rows fit even no grid, so the
+    # votes tally the whole forest and max gathers its mixed rows at both
     for cells_per_row in (0, 10 ** 9):
         with mock.patch.object(priority, "_GRID_PER_ROW", cells_per_row):
             for fn in BUILTINS.values():
