@@ -23,11 +23,14 @@ import numpy as np
 NULL = 0  # the code of NULL in every attribute
 # rows per save_csv write and per csv.reader block of load_csv; its split
 # blocks are _CHUNK_ROWS * 64 characters, as numpy's cost per call needs
-# large blocks: 16 and 32 per row loaded a 50k x 8 file slower, and 128
-# and 256 a 100k x 5 one
+# large blocks: 16 and 32 per row loaded a 50k x 8 file slower. With the
+# word cache, 128 and 256 per row load that file faster (38.4 and 38.0 ms
+# against 42.3, CPU, min of 7 over 4 interleaved rounds) but a 100k x 5
+# one slower (19.3 and 23.7 ms against 16.3) and raise its repair's peak
+# RSS in a fresh process (44.4 and 48.4 MB against 43.6)
 _CHUNK_ROWS = 4096
 _TID = re.compile("-?[0-9]+").fullmatch
-# the odd multiplier (2**64 over the golden ratio) of _column's bucket hash
+# the odd multiplier (2**64 over the golden ratio) of _bucket's hash
 _HASH = 0x9E3779B97F4A7C15
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(9)],
                 dtype=np.uint64)  # _LOW[k] keeps a word's first k bytes
@@ -94,12 +97,14 @@ class _Dictionary(dict):
     unseen value gets the next code as it is looked up. While ``load_csv``
     finds a column's cells all distinct, it keeps them in ``seen`` and
     numbers them in order: the map stays unbuilt (not ``mapped``) until
-    ``ready`` enters every value in one call."""
+    ``ready`` enters every value in one call. After the column's first
+    repeat, until the load ends, ``cache`` holds its word cache (see
+    ``split_codes``)."""
 
     def __init__(self):
         super().__init__({None: NULL})
         self.values = [None]
-        self.mapped, self.seen = True, None
+        self.mapped, self.seen, self.cache = True, None, None
 
     def __missing__(self, value):
         code = self[value] = len(self.values)
@@ -113,20 +118,80 @@ class _Dictionary(dict):
             self.mapped = True
         return self
 
-    def lookup(self, values, rows):
-        """The codes of ``values``, entering the new ones: ``values`` are
-        the cells of ``rows`` new rows, or only their distinct cells. While
-        ``seen`` holds every cell so far, new cells are numbered in order."""
+    def lookup(self, values, local):
+        """The codes of new rows, row i holding ``values[local[i]]``,
+        entering the new values: ``values`` are the rows' cells, or only
+        their distinct cells. While ``seen`` holds every cell so far, new
+        cells are numbered in order."""
         if self.seen is not None:  # a load, all cells so far distinct
             size = len(self.seen)
             self.seen.update(values)
-            if len(self.seen) == size + rows:  # no repeat, no NULL
-                start = len(self.values)
+            if len(self.seen) == size + len(local):  # no repeat, no NULL,
+                start = len(self.values)  # so local numbers the rows
                 self.values += values
-                return np.arange(start, start + rows)
+                return np.arange(start, start + len(local))
             self.seen = None
         return np.fromiter(map(self.ready().__getitem__, values),
-                           dtype=np.int32, count=len(values))
+                           dtype=np.int32, count=len(values))[local]
+
+    def split_codes(self, data, starts, lens, key):
+        """The codes of one column of a split block, entering its new
+        values: the cells at ``starts`` in ``data``, ``lens`` bytes long,
+        with their ``_key``s (see ``_column``).
+
+        Once the column has repeated, ``cache`` is a direct-mapped
+        table (keys, codes) from a cell of at most 8 bytes, by its key, to
+        its code: 2 slots per value, at least 16, a key's slot being its
+        ``_bucket``. A row whose slot holds its key takes the slot's code,
+        unless that is -1, the empty mark (the empty cell's key is 0). The
+        block holds no NUL, so a key names its cell exactly. Only the other
+        rows are entered (``_enter``); a new value misses in all its rows,
+        so it still gets its code in order of its first row."""
+        if self.cache is None:  # no short cell entered since a repeat
+            return self._enter(data, starts, lens, key)
+        keys, table = self.cache
+        slot = _bucket(key, len(table).bit_length() - 1)
+        codes = table[slot]
+        miss = np.flatnonzero((keys[slot] != key) | (lens > 8) | (codes < 0))
+        if len(miss):
+            codes[miss] = self._enter(data, starts[miss], lens[miss],
+                                      key[miss])
+        return codes
+
+    def _enter(self, data, starts, lens, key):
+        """The codes of cells as ``split_codes`` takes them, by ``_column``
+        and ``lookup``. Once the column has a repeat, each of their
+        distinct cells of at most 8 bytes is put in ``cache``."""
+        values, local = _column(data, starts, lens, key)
+        codes = self.lookup(values, local)
+        if self.seen is None:
+            row = np.empty(len(values), dtype=np.intp)
+            row[local] = np.arange(len(local))  # a row of each value
+            row = row[lens[row] <= 8]
+            if len(row):
+                self._fill(key[row], codes[row])
+        return codes
+
+    def _fill(self, key, code):
+        """Put each ``key`` with its ``code`` in ``cache``, made or grown
+        first to 2 slots per value, keeping its entries. Of the keys that
+        share a slot, the one numpy writes last wins, in both arrays: the
+        slot first takes each key's index, and the entry is read from the
+        index it kept."""
+        size = max(16, 1 << (2 * len(self.values) - 1).bit_length())
+        if self.cache is None or len(self.cache[1]) < size:
+            old, self.cache = self.cache, (np.zeros(size, dtype=np.uint64),
+                                           np.full(size, -1, dtype=np.int32))
+            if old is not None:
+                filled = old[1] >= 0
+                key = np.concatenate((old[0][filled], key))
+                code = np.concatenate((old[1][filled], code))
+        keys, table = self.cache
+        slot = _bucket(key, len(table).bit_length() - 1)
+        table[slot] = np.arange(len(slot))
+        won = table[slot]
+        keys[slot] = key[won]
+        table[slot] = code[won]
 
 
 class Relation:
@@ -149,7 +214,9 @@ class Relation:
             raise ValueError("tids and rows must have equal length")
         for row in rows:
             self._check_arity(row)
-        self._extend(tids, [(col, np.arange(len(rows))) for col in zip(*rows)])
+        local = np.arange(len(rows))
+        self._extend(tids, (d.lookup(col, local)
+                            for d, col in zip(self._dicts, zip(*rows))))
 
     def _check_arity(self, row):
         """Raise SchemaError unless ``row`` has one cell per attribute."""
@@ -159,21 +226,19 @@ class Relation:
 
     def _extend(self, tids, columns):
         """Append rows given as their int64 tids, which the caller has
-        checked are new, and one (values, local) pair per attribute: values
-        (the cells, or only the distinct ones) and each row's index into
-        them. Empty storage takes the rows exactly; after that it grows to
-        the next power of two rows, so appending costs amortized O(1) per
-        cell, and a load's memory does not depend on how many rows each of
-        its blocks holds."""
+        checked are new, and one array of their codes per attribute (see
+        ``_Dictionary.lookup``). Empty storage takes the rows exactly; after
+        that it grows to the next power of two rows, so appending costs
+        amortized O(1) per cell, and a load's memory does not depend on how
+        many rows each of its blocks holds."""
         n, end = self._n, self._n + len(tids)
         if end > len(self._tids):
             spare = (1 << (end - 1).bit_length() if n else end) - n
             self._data = np.pad(self._data[:, :n], ((0, 0), (0, spare)))
             self._tids = np.pad(self._tids[:n], (0, spare))
         self._tids[n:end] = tids
-        for d, codes, (values, local) in zip(self._dicts, self._data[:, n:end],
-                                             columns):
-            codes[:] = d.lookup(values, end - n)[local]
+        for codes, new in zip(self._data[:, n:end], columns):
+            codes[:] = new
         self._n = end
 
     def __len__(self):
@@ -194,7 +259,9 @@ class Relation:
         tids = _unique_tids([tid])
         if tids[0] in self._pos:
             raise ValueError("duplicate tid %d" % tids[0])
-        self._extend(tids, [((value,), np.arange(1)) for value in row])
+        local = np.arange(1)
+        self._extend(tids, (d.lookup((value,), local)
+                            for d, value in zip(self._dicts, row)))
         self._pos[int(tids[0])] = len(self) - 1
 
     @cached_property
@@ -315,28 +382,39 @@ def _joined(data, starts, lens):
     return data[at].tobytes()
 
 
-def _column(data, words, starts, ends):
+def _key(words, starts, lens):
+    """Each cell's first 8 bytes as one little-endian word, zero past its
+    end: ``words[k]`` is the 8 bytes of a block from its byte ``k``."""
+    return words[starts] & _LOW[np.minimum(lens, 8)]
+
+
+def _bucket(keys, bits):
+    """Each key's bucket of ``2 ** bits``, by a multiplicative hash."""
+    mixed = keys * _HASH  # wraps around, as arrays do silently
+    return (mixed >> (64 - bits)).astype(np.intp)
+
+
+def _column(data, starts, lens, first):
     """One column of a split block as (values, local): its distinct cells in
     the order they first appear, and each cell's index into them. Cell i is
-    ``data[starts[i]:ends[i]]`` and is followed by ``,``; ``data`` is the
-    block's bytes and 8 zeros, and ``words[k]`` the 8 of them from ``k``.
+    ``lens[i]`` bytes of ``data``, the block's bytes, from ``starts[i]``,
+    and is followed by ``,``; ``first[i]`` is its ``_key``.
 
-    A cell of at most 8 bytes is keyed by them as one little-endian word,
-    zero past its end; the block holds no NUL, so equal keys and lengths
-    mean equal cells. Each row is compared with the first row of its hash
-    bucket. The rows that differ, and the cells longer than one word, go to
-    a dict of their bytes, which finds their first rows: it gets every
-    row whose key shares a bucket with an earlier, different key, so the
-    result is exact whatever the hash. Each step is one pass over the rows
-    or over the bytes of the rows sent to the dict, so the work follows
-    the block's bytes. Only the distinct cells are decoded, with one
-    ``decode`` and one ``split``.
+    A cell of at most 8 bytes is named by its key; the block holds no NUL,
+    so equal keys and lengths mean equal cells. Each row is compared with
+    the first row of its hash bucket. The rows that differ, and the cells
+    longer than one word, go to a dict of their bytes, which finds their
+    first rows: it gets every row whose key shares a bucket with an
+    earlier, different key, so the result is exact whatever the hash. Each
+    step is one pass over the rows or over the bytes of the rows sent to
+    the dict, so the work follows the block's bytes. Only the distinct
+    cells are decoded, with one ``decode`` and one ``split``. Once a column
+    has repeated, ``_Dictionary.split_codes`` sends here only the rows its
+    word cache misses.
     """
-    n, lens = len(starts), ends - starts
-    first = words[starts] & _LOW[np.minimum(lens, 8)]
-    mixed = first * _HASH  # wraps around, as arrays do silently
+    n = len(starts)
     bits = (2 * n).bit_length()
-    bucket = (mixed >> (64 - bits)).astype(np.intp)
+    bucket = _bucket(first, bits)
     rows = np.arange(n)
     head = np.full(1 << bits, n)
     np.minimum.at(head, bucket, rows)
@@ -357,7 +435,9 @@ def _column(data, words, starts, ends):
 def _split(block, width):
     """The records of ``block``, a CSV text of whole lines, as (column, n)
     if it can be split at its bytes ``,`` and ``\n``: ``column(j)`` numbers
-    field j of its ``n`` records (see ``_column``). None if ``csv.reader``
+    field j of its ``n`` records (see ``_column``), and ``column(j, d)``
+    gives their codes in the dictionary ``d`` (see
+    ``_Dictionary.split_codes``). None if ``csv.reader``
     might read it differently: if it holds a ``"``, NUL or ``\r`` outside
     a ``\r\n``, or a cell longer than ``csv.field_size_limit()``, or its
     separators show a record without ``width`` fields, ``width`` being 2 or
@@ -400,21 +480,24 @@ def _split(block, width):
     # kept at half size while the block's columns are made
     seps = seps.astype(np.int32 if size < 2**31 else np.int64)
 
-    def column(j):
+    def column(j, d=None):
         ends = seps[j::width] if j < width - 1 else lasts
         starts = seps[j - 1::width] + 1 if j else firsts
-        return _column(data, words, starts.astype(np.intp, copy=False),
-                       ends.astype(np.intp, copy=False))
+        starts = starts.astype(np.intp, copy=False)
+        lens = ends - starts
+        cells = data, starts, lens, _key(words, starts, lens)
+        return _column(*cells) if d is None else d.split_codes(*cells)
     return column, lines
 
 
 def _blocks(fh, width):
     """The records left in the open CSV file ``fh``, one block at a time,
     as (column, n, ragged): ``column(j)`` gives field j's (values, local)
-    pair (see ``Relation._extend``) over the block's first ``n`` records,
-    which have ``width`` fields each, and ``ragged`` is None, or the error
-    for record ``n``, which has not. A column is made when it is asked
-    for, so one column's arrays are alive at a time.
+    pair (see ``_Dictionary.lookup``) over the block's first ``n`` records,
+    which have ``width`` fields each, and ``column(j, d)`` their codes in
+    the attribute's dictionary ``d``; ``ragged`` is None, or the error for
+    record ``n``, which has not ``width`` fields. A column is made when it
+    is asked for, so one column's arrays are alive at a time.
 
     A block is ``_CHUNK_ROWS * 64`` characters read at once and completed
     to the end of its line, and split at its bytes if ``_split`` can. From
@@ -437,9 +520,12 @@ def _blocks(fh, width):
         fields = np.diff(ends, prepend=0)
         ragged = np.flatnonzero(fields != width)
         n = int(ragged[0]) if len(ragged) else len(fields)
-        yield (lambda j: (cells[j:n * width:width], np.arange(n))), n, (
-            "expected %d fields, got %d" % (width, fields[n])
-            if len(ragged) else None)
+
+        def column(j, d=None):
+            pair = cells[j:n * width:width], np.arange(n)
+            return pair if d is None else d.lookup(*pair)
+        yield column, n, ("expected %d fields, got %d" % (width, fields[n])
+                          if len(ragged) else None)
         cells.clear()
 
 
@@ -457,7 +543,10 @@ def load_csv(path, null_token="", tid_column=None):
     leaves it nothing to do. A column's cells are numbered in order while
     each block brings only new ones; its value -> code map is built at its
     first repeat or NULL, or, if none comes, on the first lookup after the
-    load. A tid column's distinct cells are read by ``_tid``.
+    load. From then on, a short cell that an earlier split block held is
+    given its code by the column's word cache, neither decoded nor looked
+    up again (see ``_Dictionary.split_codes``); the caches are dropped when
+    the load ends. A tid column's distinct cells are read by ``_tid``.
 
     Errors name the line where the bad row starts: of the ragged rows,
     malformed tids (see ``_tid``) and repeated tids, the first in the file,
@@ -517,13 +606,13 @@ def _load_csv(path, null_token, tid_column, errors):
             if fault is not None:
                 _raise_first_fault(
                     path, np.concatenate((rel.tid_array(), tids)), fault)
-            rel._extend(tids, map(column, fields))
+            rel._extend(tids, map(column, fields, rel._dicts))
             start += n
     _raise_first_fault(path, rel.tid_array())
     for d in rel._dicts:
         del d[null_token]
         d[None] = NULL
-        d.seen = None
+        d.seen = d.cache = None
     return rel
 
 

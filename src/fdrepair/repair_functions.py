@@ -40,20 +40,21 @@ def vote(values, null_counts, schema_width, rng, exponent):
 
 
 def _numeric_key(values):
-    """The key of numeric order if every value parses as a number and none
-    as NaN (the one float unequal to itself), which no order ranks; else
-    None, for text order."""
+    """The key of numeric order, equal numbers in text order, if every
+    value parses as a number and none as NaN (the one float unequal to
+    itself), which no order ranks; else None, for text order."""
     try:
-        numbers = {v: float(v) for v in values}
+        numbers = {v: (float(v), v) for v in values}
     except (TypeError, ValueError):
         return None
-    return numbers.get if all(x == x for x in numbers.values()) else None
+    return numbers.get if all(x == x for x, _ in numbers.values()) else None
 
 
 def max_value(values):
     """Maximum bag member; numeric order when every constant parses as a
-    number and none as NaN, else lexicographic. NULL ranks below every
-    constant."""
+    number and none as NaN, else lexicographic. Equal numbers, such as
+    ``1`` and ``1.0``, rank in text order, so the bag's order never
+    matters. NULL ranks below every constant."""
     if not values:
         raise ValueError("empty bag")
     constants = [v for v in values if v is not None]

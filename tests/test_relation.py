@@ -690,6 +690,143 @@ def test_distinct_column_lookups_after_load(tmp_path):
     assert rel.encode("z", "new") == copied.encode("z", "new") == n
 
 
+def _load_per_cell(tmp_path, columns, chunk_rows, null_token=NULL_TOKEN,
+                   one_bucket=False):
+    """Write ``columns`` (two or more) as a CSV file, load it in blocks of
+    ``chunk_rows`` and check that each column's codes, values and
+    ``mapped`` are a per-cell encoding's. Returns each block's row count;
+    every block is split."""
+    header = ["c%d" % j for j in range(len(columns))]
+    p = tmp_path / ("c%d.csv" % chunk_rows)
+    p.write_bytes("".join(",".join(row) + "\n"
+                          for row in [header, *zip(*columns)]).encode())
+    sizes, split = [], relation._split
+
+    def counted(block, width):
+        parts = split(block, width)
+        sizes.append(parts[1] if parts else None)
+        return parts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation, "_CHUNK_ROWS", chunk_rows)
+        mp.setattr(relation, "_split", counted)
+        if one_bucket:
+            mp.setattr(relation, "_HASH", 0)
+        rel = load_csv(p, null_token=null_token)
+    for a, column in zip(header, columns):
+        index = {null_token: NULL}
+        codes = [index.setdefault(cell, len(index)) for cell in column]
+        assert rel.values(a) == [None, *list(index)[1:]]
+        assert rel.codes(a).tolist() == codes
+        # the map is built at the first repeat or NULL, and only then
+        assert rel._dicts[rel.schema.index(a)].mapped is (
+            len(index) <= len(column))
+    assert sum(sizes) == len(columns[0])
+    return sizes
+
+
+@st.composite
+def growing_columns(draw):
+    """Two or three columns of up to 80 rows, row i drawing each cell from
+    the first i // 6 + 1 cells of a pool, so that most values are first
+    seen in a later block and then repeat in the blocks after it."""
+    pool = draw(st.lists(KEY_CELL, min_size=1, max_size=16, unique=True))
+    n = draw(st.integers(0, 80))
+    return [[pool[min(k, i // 6, len(pool) - 1)] for i, k in enumerate(
+        draw(st.lists(st.integers(0, 15), min_size=n, max_size=n)))]
+            for _ in range(draw(st.integers(2, 3)))]
+
+
+@pytest.mark.parametrize("one_bucket", [False, True])
+@given(columns=growing_columns(), chunk_rows=st.integers(1, 5))
+def test_load_csv_word_cache_values_first_seen_later(tmp_path_factory,
+                                                     one_bucket, columns,
+                                                     chunk_rows):
+    # a value first seen in a later block misses the word cache in all its
+    # rows, so it is numbered in order of its first row; once cached, it
+    # is served from the cache in the blocks after, even when every key
+    # shares one slot
+    _load_per_cell(tmp_path_factory.mktemp("cache"), columns, chunk_rows,
+                   one_bucket=one_bucket)
+
+
+EIGHT = ["abcdefgh", "😀😀", "€€ab", "12345678"]  # 8 bytes each
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4, 5])
+def test_load_csv_word_cache_never_serves_a_long_cell(tmp_path, chunk_rows):
+    # c2's cells are all exactly 8 bytes. In c0 and c1 each 8-byte cell
+    # sits next to the 9-byte cell made of it and one more byte, which has
+    # its key: in runs of 32 rows, c0 meets the 8-byte cell first and c1
+    # the 9-byte one, so that each comes in a block after the other
+    n = 240
+    c0 = [EIGHT[i % 4] + "x" * (i // 32 % 2) for i in range(n)]
+    c1 = [EIGHT[i % 4] + "\x01" * (1 - i // 32 % 2) for i in range(n)]
+    c2 = [EIGHT[i // 3 % 4] for i in range(n)]
+    assert len(_load_per_cell(tmp_path, [c0, c1, c2], chunk_rows)) > 10
+
+
+@pytest.mark.parametrize("null_token", ["NULL", "missing-cell"])
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4, 5])
+def test_load_csv_word_cache_with_null_tokens(tmp_path, null_token,
+                                              chunk_rows):
+    # a 4-byte NULL token is cached with code NULL, a 12-byte one never
+    # is; the empty cell is a value, and its key, 0, is also what an empty
+    # slot holds
+    cells = [null_token, "", "a", "NUL", "NULLx", "missing-cel",
+             "missing-cell!", "NULL", "missing-cell"]
+    n = 300
+    columns = [[cells[i % 9] for i in range(n)],
+               [cells[i // 20 % 9] for i in range(n)]]
+    assert len(_load_per_cell(tmp_path, columns, chunk_rows,
+                              null_token=null_token)) > 10
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4, 5])
+def test_load_csv_word_cache_from_a_third_block_repeat(tmp_path,
+                                                       chunk_rows):
+    # c0 is all distinct through two blocks, so it is numbered in order
+    # with no cache; its first repeat opens the third block, and from there
+    # every third row repeats an earlier value. c1 stays all distinct.
+    n = 300
+    distinct = ["u%03d" % i for i in range(n)]
+    sizes = _load_per_cell(tmp_path, [distinct, distinct[::-1]], chunk_rows)
+    third = sizes[0] + sizes[1]  # the third block's first row
+    assert third + sizes[2] < n
+    c0 = [distinct[0] if i == third else distinct[i // 3]
+          if i > third and i % 3 == 0 else cell
+          for i, cell in enumerate(distinct)]
+    # cells of equal length keep the blocks where they were
+    assert _load_per_cell(tmp_path, [c0, distinct[::-1]], chunk_rows) == sizes
+
+
+def test_load_csv_word_cache_dropped_after_load(tmp_path):
+    # a 10-value column beside an all-distinct one, in three blocks: the
+    # 10-value column's word cache is filled once and gone after the load,
+    # and the load's memory stays within the bound of
+    # test_load_csv_long_cell_among_short_rows
+    p = tmp_path / "d.csv"
+    p.write_text("a,z\n" + "".join("%d,u%06d\n" % (i % 10, i)
+                                   for i in range(70_000)))
+    assert 2 < p.stat().st_size / (relation._CHUNK_ROWS * 64) < 3
+    filled, fill = [], relation._Dictionary._fill
+
+    def counted(d, key, code):
+        filled.append(len(key))
+        fill(d, key, code)
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relation._Dictionary, "_fill", counted)
+            rel = load_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert filled == [10]  # the first block's values; then only hits
+    assert rel.codes("a").tolist() == [i % 10 + 1 for i in range(70_000)]
+    assert [d.cache for d in rel._dicts] == [None, None]
+    assert peak < 100 * p.stat().st_size
+
+
 def test_save_csv_header_and_nulls(tmp_path):
     rel = make_rel(["a", "b"], [["x", None]])
     p = tmp_path / "out.csv"

@@ -73,6 +73,14 @@ def test_max_with_nan_takes_text_order_in_every_bag_order():
         assert max_value(list(bag)) == "NaN"
 
 
+def test_max_equal_numbers_take_text_order_in_every_bag_order():
+    # constants that spell one number rank by their text
+    for bag in permutations(["1", "1.0"]):
+        assert max_value(list(bag)) == "1.0"
+    for bag in permutations(["01", "1", "1.0", None]):
+        assert max_value(list(bag)) == "1.0"
+
+
 def test_max_null_is_minimum():
     assert max_value([None, "0"]) == "0"
     assert max_value([None, None]) is None
