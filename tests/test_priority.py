@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from contextlib import nullcontext
 from functools import partial
 from itertools import repeat
 from unittest import mock
@@ -12,7 +13,8 @@ from fdrepair import FD, Relation, Schema, priority, swipe
 from fdrepair.dsf import DisjointSetForest
 from fdrepair.fds import minimal_cover, violates
 from fdrepair.partition import fds_entering_at
-from fdrepair.priority import (_GRID_PER_ROW, RepairStats, _tally,
+from fdrepair.priority import (_GRID_PER_ROW, RepairStats, _call_per_class,
+                               _group_min, _majority, _tally, _vio_pick,
                                estimate_priority, fix, pilot_fds,
                                priority_repair, shares_forest,
                                skip_revision_unary, update_dsf, vio)
@@ -436,6 +438,94 @@ def test_vio_tie_of_incomparable_values_raises():
         vio(rel, "b", [FD(frozenset("a"), "b")], random.Random(0))
 
 
+def per_class_majority(rel, fd, fn, rng, groups, codes, keys, weights):
+    """``_majority``'s winners with each tied group handed to ``fn`` in
+    turn, through ``_call_per_class``, as before ties were settled in one
+    pass."""
+    row_group, _, n_top, winner, (top_group, top_code) = _tally(
+        groups, codes, weights)
+    tied = n_top[top_group] > 1
+    if tied.any():
+        least = _group_min(row_group, keys, len(n_top))
+        order = np.argsort(least[top_group[tied]], kind="stable")
+        grp, code = top_group[tied][order], top_code[tied][order]
+        winner[grp] = _call_per_class(rel, fd, fn, rng, least[grp], code,
+                                      np.zeros(len(grp), dtype=np.int64))
+    return winner[row_group]
+
+
+def settled(majority):
+    """The winners ``majority()`` gives, or TypeError if it raises one."""
+    try:
+        return majority().tolist()
+    except TypeError:
+        return TypeError
+
+
+# (group, value) rows; a value's code is the order in which it first appears
+tie_rows = st.lists(st.tuples(st.integers(0, 3),
+                              st.sampled_from([None, "9", "10", "x"])),
+                    min_size=1, max_size=12)
+IN_ORDER = list(range(12))
+
+
+@settings(max_examples=more(300), deadline=None)
+@given(tie_rows, st.permutations(range(12)), st.booleans(), st.booleans(),
+       st.sampled_from([_vio_pick, MV, WV]), st.integers(0, 2 ** 32 - 1))
+# NULL among the tied values, under each rule
+@example([(0, None), (0, "x"), (0, "9"), (1, "x"), (1, None), (1, "10")],
+         IN_ORDER, False, False, _vio_pick, 0)
+@example([(0, None), (0, "x"), (0, "9"), (1, "x"), (1, None), (1, "10")],
+         IN_ORDER, False, False, MV, 0)
+@example([(0, None), (0, "x"), (0, "9"), (1, "x"), (1, None), (1, "10")],
+         IN_ORDER, False, True, WV, 0)
+# NULL tied with exactly one constant under the vote rule: no draw
+@example([(0, "x"), (0, None), (1, None), (1, "9")], IN_ORDER, False, False,
+         MV, 1)
+# text order against code order: "9" takes the lower code but sorts after
+# "10" in group 0; "10" is entered before "9" in group 1
+@example([(0, "9"), (0, "10"), (0, "x")], IN_ORDER, False, False, _vio_pick,
+         2)
+@example([(1, "10"), (1, "9"), (0, "x"), (0, "9")], IN_ORDER, False, False,
+         MV, 2)
+# groups whose least keys come in another order than their ids and codes
+@example([(0, "x"), (0, "9"), (1, "10"), (1, "x"), (2, "9"), (2, "10")],
+         [9, 8, 1, 0, 5, 4, *range(10, 16)], False, False, _vio_pick, 3)
+@example([(0, "x"), (0, "9"), (1, "10"), (1, "x"), (2, "9"), (2, "10")],
+         [9, 8, 1, 0, 5, 4, *range(10, 16)], False, False, WV, 3)
+# mixed types: ints tied in one group and strs in another cannot be sorted
+# together, so the groups are settled one by one; an int tied with a str
+# raises on either path
+@example([(0, "9"), (0, "10"), (1, "x"), (1, None)], IN_ORDER, True, False,
+         _vio_pick, 4)
+@example([(0, "9"), (0, "10"), (1, "x"), (1, None), (1, "10")], IN_ORDER,
+         True, False, MV, 4)
+@example([(0, "9"), (0, "x")], IN_ORDER, True, False, MV, 4)
+def test_batched_ties_match_per_class_picks(rows, keys, ints, weighted, fn,
+                                            seed):
+    # _majority settles every tied group in one pass by fn's tie rule
+    # (Vio's, or the vote's); the per-class path hands each tied group to fn
+    # in order of least keys: the same picks and the same rng draws, and no
+    # call of fn unless tied values cannot be sorted together
+    if ints:  # the digit strings as ints, which sort only among themselves
+        rows = [(g, int(v) if v in ("9", "10") else v) for g, v in rows]
+    rel = Relation(Schema(["g", "v"]), range(1, len(rows) + 1),
+                   [[str(g), v] for g, v in rows])
+    fd = FD(frozenset("g"), "v")
+    draw = random.Random(seed)
+    weights = (np.array([draw.randrange(3) for _ in rows]) if weighted
+               else None)
+    args = (np.array([g for g, _ in rows]), rel.codes("v"),
+            np.array(keys[:len(rows)]), weights)
+    got_rng, ref_rng = random.Random(seed), random.Random(seed)
+    with (nullcontext() if ints else mock.patch.object(
+            priority, "_call_per_class", side_effect=AssertionError)):
+        got = settled(lambda: _majority(rel, fd, fn, got_rng, *args)[1])
+    assert got == settled(
+        lambda: per_class_majority(rel, fd, fn, ref_rng, *args))
+    assert got_rng.getstate() == ref_rng.getstate()
+
+
 def tally_reference(groups, codes, weights):
     """``_tally``'s five results from a Counter over (group, code) pairs."""
     totals = Counter()
@@ -737,3 +827,87 @@ def test_priority_repair_cyclic_class_revision_free(k, fn, null_equals_null):
                 assert stats.revisions == 0, seed
                 assert dict(stats.polls_per_fd) == dict.fromkeys(fds, 1), seed
         assert outs[0] == outs[1], seed
+
+
+def test_poll_of_an_unchanged_forest_skips_the_rewrite():
+    # priority_repair hands fix the forest's class count after the last fix
+    # of the rhs: a poll whose update_dsf leaves the count there calls
+    # neither _tally nor mixed_rows, and the repair (rows, stats, rng draws)
+    # is that of a run whose fix is never handed the count
+    real_fix = priority.fix
+    calls = Counter()
+    polls = []  # per poll handed the count: (forest unchanged, calls made)
+
+    def counting(name):
+        real = getattr(priority, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    def handed(rel, fd, dsf, fn, rng, null_equals_null, fixed_count):
+        before = sum(calls.values())
+        fixes = real_fix(rel, fd, dsf, fn, rng, null_equals_null, fixed_count)
+        polls.append((dsf.class_count == fixed_count,
+                      sum(calls.values()) - before))
+        return fixes
+
+    def never_handed(rel, fd, dsf, fn, rng, null_equals_null, fixed_count):
+        return real_fix(rel, fd, dsf, fn, rng, null_equals_null)
+
+    for seed in (1, 7, 10, 12):
+        rel, fds = random_instance(seed)
+        for null_equals_null in (True, False):
+            cover, part, _ = plan(fds, rel.schema, null_equals_null)
+            for fn in ("mv", "wv", "max"):
+                runs = []
+                for spy in (handed, never_handed):
+                    work, rng = rel.copy(), random.Random(seed)
+                    functions = resolve_functions(work.schema, fn)
+                    with mock.patch.multiple(
+                            priority, fix=spy, _tally=counting("_tally"),
+                            mixed_rows=counting("mixed_rows")):
+                        stats = [priority_repair(
+                            work, fds_entering_at(cover, part, i), cls,
+                            functions, rng, null_equals_null=null_equals_null)
+                            for i, cls in enumerate(part.classes, start=1)]
+                    runs.append((work.rows, stats, rng.getstate()))
+                assert runs[0] == runs[1], (seed, null_equals_null, fn)
+    assert all(n == 0 for unchanged, n in polls if unchanged)
+    assert all(n > 0 for unchanged, n in polls if not unchanged)
+    assert sum(unchanged for unchanged, _ in polls) >= 10
+
+
+@settings(max_examples=more(150), deadline=None)
+@given(cells, st.permutations("abc"), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_shared_forest_keeps_its_record_per_rhs(rows, order, null_equals_null,
+                                                seed):
+    # the cycle a -> b -> c -> a shares one forest, merged on every FD before
+    # the first poll, and no fix merges it further: a record kept per forest
+    # would see the count the previous rhs's fix left and skip the next
+    # rhs's first fix; the repair must be the row loop's, one poll per FD
+    fds = [FD(frozenset(x), y) for x, y in ("ab", "bc", "ca")]
+    rel = Relation(Schema(["a", "b", "c"]), range(1, len(rows) + 1), rows)
+    functions = dict.fromkeys("abc", MV)
+    assert shares_forest("abc", fds, functions)
+    ref_rows = [list(row) for row in rel.rows]
+    forest = RowUnionFind(rel.tids)
+    for fd in fds:
+        (i,) = map(rel.schema.index, fd.lhs)
+        first = {}
+        for tid, row in zip(rel.tids, ref_rows):
+            if null_equals_null or row[i] is not None:
+                forest.union(tid, first.setdefault(row[i], tid))
+    ref_rng = random.Random(seed)
+    for fd in sorted(fds, key=lambda fd: order.index(fd.rhs)):
+        fix_reference(rel, ref_rows, fd, forest, MV, ref_rng,
+                      null_equals_null)
+    rng = random.Random(seed)
+    stats = priority_repair(rel, fds, list("abc"), functions, rng,
+                            priority=list(order),
+                            null_equals_null=null_equals_null)
+    assert rel.rows == ref_rows
+    assert rng.getstate() == ref_rng.getstate()
+    assert dict(stats.polls_per_fd) == dict.fromkeys(fds, 1)
