@@ -15,11 +15,11 @@ class then holds once its repair drains.
 
 All of it runs on the relation's integer codes, in whole-array passes, yet
 results and the seeded rng stream are those of a row-by-row run: a pass
-settles every group whose top is one value, and one more pass settles the
-tied groups by their picker's tie rule, making each draw in the order a row
-loop reaches it (``_majority``). A poll whose forest has not changed since
-the last fix of its rhs finds every class uniform, and ``fix`` returns at
-once.
+settles every group whose top is one value, and each tied group is settled
+by its picker's tie rule in the order a row loop reaches it (``_majority``):
+Vio's all in one more pass, a repair function's one call per group. A poll
+whose forest has not changed since the last fix of its rhs finds every
+class uniform, and ``fix`` returns at once.
 """
 
 import logging
@@ -140,8 +140,7 @@ def _vio_rows(rel, a, cover, rng, null_equals_null):
     majority value under some FD of ``cover`` with rhs ``a``.
 
     Several values sharing a group's top count are settled by
-    ``_vio_pick``'s rule, NULL among them, groups in order of their first
-    row.
+    ``_vio_pick``, NULL among them, groups in order of their first row.
     NULL keys under NULL-unequal semantics are groups of one, which never
     tie and never differ.
     """
@@ -208,12 +207,12 @@ def _majority(rel, fd, fn, rng, groups, codes, keys, weights=None):
 
     ``weights`` (1 per row by default) are summed per (group, code) pair
     over all groups at once, and a group whose top is one code takes it.
-    The groups whose top is tied are settled together by ``_settle_ties``,
-    with ``fn``'s tie rule: ``_vio_pick``'s, or else ``vote``'s, as a
-    voting function must pick. Each draw is the one a row loop makes, in
-    order of the groups' least ``keys``. Only if the tied values cannot be
-    sorted together is each tied group handed to ``fn`` in that order, with
-    just its tied values, once each at zero NULLs (``_call_per_class``).
+    Vio's tied groups are settled together by ``_settle_vio_ties``. Any
+    other tied group, or every one if the tied values cannot be sorted
+    together, is handed to ``fn`` with just its tied values, once each at
+    zero NULLs (``_call_per_class``): ``fn`` applies its own tie rule and
+    makes the draw it would make on the whole bag. Either way each draw is
+    the one a row loop makes, in order of the groups' least ``keys``.
 
     Returns the number of groups showing two or more codes and each row's
     new code.
@@ -224,8 +223,9 @@ def _majority(rel, fd, fn, rng, groups, codes, keys, weights=None):
     if tied.any():
         least = _group_min(row_group, keys, len(n_top))
         grp, code = top_group[tied], top_code[tied]
-        settled = _settle_ties(rel.values(fd.rhs), fn is _vio_pick, rng,
-                               least, n_top, grp, code)
+        settled = (_settle_vio_ties(rel.values(fd.rhs), rng, least, n_top,
+                                    grp, code)
+                   if fn is _vio_pick else None)
         if settled is None:  # no draw made yet: settle group by group
             order = np.argsort(least[grp], kind="stable")
             grp, code = grp[order], code[order]
@@ -237,19 +237,17 @@ def _majority(rel, fd, fn, rng, groups, codes, keys, weights=None):
     return int(np.count_nonzero(n_codes > 1)), winner[row_group]
 
 
-def _settle_ties(values, keep_null, rng, least, n_top, grp, code):
-    """Settle every tied group in one pass, as its own tie rule would.
+def _settle_vio_ties(values, rng, least, n_top, grp, code):
+    """Settle every tied group in one pass, as ``_vio_pick`` would.
 
     ``grp`` and ``code`` are the tied (group, code) pairs in ascending
     order, ``n_top`` counts each group's pairs and ``values`` decodes the
     codes. The distinct tied codes are ranked by their values in one
     ``sorted`` call, NULL last; if two values cannot be compared, it
-    returns None before any draw. Each group's tied codes, in rank order,
-    are its candidates, less NULL unless ``keep_null`` (Vio's rule; the
-    vote's lets a tied constant beat NULL). A group left with one candidate
-    takes it; the others each take ``rng.choice(range(n))`` of their ``n``,
-    the draw ``rng.choice`` makes on any ``n`` values, in order of their
-    ``least`` keys. Returns the tied groups and each one's pick.
+    returns None before any draw. Each group takes ``rng.choice(range(n))``
+    of its ``n`` tied codes in rank order, the draw ``rng.choice`` makes on
+    any ``n`` values, in order of the groups' ``least`` keys. Returns the
+    tied groups and each one's pick.
     """
     dense, k = _dense(code)
     distinct = np.empty(k, dtype=code.dtype)
@@ -265,12 +263,8 @@ def _settle_ties(values, keep_null, rng, least, n_top, grp, code):
     ranked = code[np.argsort(grp * k + rank[dense], kind="stable")]
     tied_groups = np.flatnonzero(n_top > 1)
     n = n_top[tied_groups]
-    ends = np.cumsum(n)
-    starts = ends - n
-    if not keep_null:
-        n -= ranked[ends - 1] == NULL
+    starts = np.cumsum(n) - n
     draws = np.argsort(least[tied_groups], kind="stable")
-    draws = draws[n[draws] > 1]
     starts[draws] += np.array(
         [rng.choice(range(m)) for m in n[draws].tolist()], dtype=np.int64)
     return tied_groups, ranked[starts]
@@ -279,10 +273,7 @@ def _settle_ties(values, keep_null, rng, least, n_top, grp, code):
 def _call_per_class(rel, fd, fn, rng, least, codes, null_counts):
     """Call ``fn`` once per class, a run of entries sharing a ``least``
     key, on the values of its rhs ``codes`` and its ``null_counts``; the
-    entries come sorted by least key. Returns each entry's new code.
-
-    ``fix`` calls functions this way on whole bags; ``_majority`` only
-    where tied values cannot be sorted together."""
+    entries come sorted by least key. Returns each entry's new code."""
     bounds = [0, *(np.flatnonzero(np.diff(least)) + 1).tolist(), len(least)]
     bag = list(map(rel.values(fd.rhs).__getitem__, codes.tolist()))
     null_counts = null_counts.tolist()
@@ -312,14 +303,14 @@ def fix(rel, fd, dsf, fn, rng, null_equals_null=True, fixed_count=None):
     classes only, found by ``mixed_rows``. A class whose top is one code
     takes it, which is the value ``fn`` would return, since no tie arises;
     each such winner is a (class, code) pair occurring in the class, so
-    this vote is preservative by construction. The classes whose top is
-    tied are settled together by ``vote``'s tie rule, which a voting
-    function must follow: the same values and the same rng draws as ``fn``
-    would give on each whole bag. Any other function is called once per
-    class on its whole bag, values and NULL counts in tid order, after
-    ``mixed_rows``; so is a voting function whose totals could pass int64
-    (``n * width ** e`` for ``n`` rows, at least ``2 ** 63``). Calls go in
-    order of the classes' least tids, through ``_call_per_class``.
+    this vote is preservative by construction. A class whose top is tied is
+    handed to ``fn`` with its tied values only, once each at zero NULLs,
+    which settles it as the whole bag would: the same value and the same
+    rng draw. Any other function is called once per class on its whole
+    bag, values and NULL counts in tid order, after ``mixed_rows``; so is a
+    voting function whose totals could pass int64 (``n * width ** e`` for
+    ``n`` rows, at least ``2 ** 63``). Calls go in order of the classes'
+    least tids, through ``_call_per_class``.
     """
     update_dsf(rel, fd, dsf, null_equals_null)
     if dsf.class_count == fixed_count:

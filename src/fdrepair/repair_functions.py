@@ -7,8 +7,7 @@ loses every tie against a constant; for max it is the minimum.
 
 ``mv`` and ``wv`` are voting functions (``RepairFunction.vote_exponent``),
 whose votes ``priority.fix`` counts itself wherever int64 holds their
-totals, settling tied classes by ``vote``'s tie rule too; it calls them
-only on whole bags whose totals could pass int64. ``max`` and
+totals, calling them only to settle a tied class. ``max`` and
 user-supplied functions are called once per class on its whole bag.
 """
 
@@ -71,12 +70,10 @@ class RepairFunction:
     A set ``vote_exponent`` e, a non-negative int (anything else but None
     raises ValueError), marks a voting function, which picks as
     ``vote(..., exponent=e)`` does; ``MV`` and ``WV`` are built from it.
-    ``fix`` trusts the exponent: it votes on codes itself and settles a
-    tied top by ``vote``'s tie rule (``_break_tie``), so ``_pick`` must be
-    such a vote. It calls the function only on a class's whole bag where
-    the int64 totals could pass ``2 ** 63``, or, where tied values of
-    different classes cannot be sorted together, on each tied class's
-    values once each at equal weight (no NULLs in their tuples).
+    ``fix`` trusts the exponent: it votes on codes itself and calls the
+    function only for a class whose top is tied, handing it the tied values
+    once each at equal weight (no NULLs in their tuples), so ``_pick`` must
+    be such a vote, whose tie rule looks only at the tied values.
     """
     name: str
     preservative: bool

@@ -440,8 +440,8 @@ def test_vio_tie_of_incomparable_values_raises():
 
 def per_class_majority(rel, fd, fn, rng, groups, codes, keys, weights):
     """``_majority``'s winners with each tied group handed to ``fn`` in
-    turn, through ``_call_per_class``, as before ties were settled in one
-    pass."""
+    turn, through ``_call_per_class``, as before Vio's ties were settled in
+    one pass."""
     row_group, _, n_top, winner, (top_group, top_code) = _tally(
         groups, codes, weights)
     tied = n_top[top_group] > 1
@@ -471,42 +471,30 @@ IN_ORDER = list(range(12))
 
 @settings(max_examples=more(300), deadline=None)
 @given(tie_rows, st.permutations(range(12)), st.booleans(), st.booleans(),
-       st.sampled_from([_vio_pick, MV, WV]), st.integers(0, 2 ** 32 - 1))
-# NULL among the tied values, under each rule
+       st.integers(0, 2 ** 32 - 1))
+# NULL among the tied values
 @example([(0, None), (0, "x"), (0, "9"), (1, "x"), (1, None), (1, "10")],
-         IN_ORDER, False, False, _vio_pick, 0)
-@example([(0, None), (0, "x"), (0, "9"), (1, "x"), (1, None), (1, "10")],
-         IN_ORDER, False, False, MV, 0)
-@example([(0, None), (0, "x"), (0, "9"), (1, "x"), (1, None), (1, "10")],
-         IN_ORDER, False, True, WV, 0)
-# NULL tied with exactly one constant under the vote rule: no draw
-@example([(0, "x"), (0, None), (1, None), (1, "9")], IN_ORDER, False, False,
-         MV, 1)
+         IN_ORDER, False, False, 0)
+@example([(0, "x"), (0, None), (1, None), (1, "9")], IN_ORDER, False, True, 1)
 # text order against code order: "9" takes the lower code but sorts after
 # "10" in group 0; "10" is entered before "9" in group 1
-@example([(0, "9"), (0, "10"), (0, "x")], IN_ORDER, False, False, _vio_pick,
-         2)
-@example([(1, "10"), (1, "9"), (0, "x"), (0, "9")], IN_ORDER, False, False,
-         MV, 2)
+@example([(0, "9"), (0, "10"), (0, "x")], IN_ORDER, False, False, 2)
+@example([(1, "10"), (1, "9"), (0, "x"), (0, "9")], IN_ORDER, False, False, 2)
 # groups whose least keys come in another order than their ids and codes
 @example([(0, "x"), (0, "9"), (1, "10"), (1, "x"), (2, "9"), (2, "10")],
-         [9, 8, 1, 0, 5, 4, *range(10, 16)], False, False, _vio_pick, 3)
-@example([(0, "x"), (0, "9"), (1, "10"), (1, "x"), (2, "9"), (2, "10")],
-         [9, 8, 1, 0, 5, 4, *range(10, 16)], False, False, WV, 3)
+         [9, 8, 1, 0, 5, 4, *range(10, 16)], False, False, 3)
 # mixed types: ints tied in one group and strs in another cannot be sorted
 # together, so the groups are settled one by one; an int tied with a str
 # raises on either path
 @example([(0, "9"), (0, "10"), (1, "x"), (1, None)], IN_ORDER, True, False,
-         _vio_pick, 4)
-@example([(0, "9"), (0, "10"), (1, "x"), (1, None), (1, "10")], IN_ORDER,
-         True, False, MV, 4)
-@example([(0, "9"), (0, "x")], IN_ORDER, True, False, MV, 4)
-def test_batched_ties_match_per_class_picks(rows, keys, ints, weighted, fn,
-                                            seed):
-    # _majority settles every tied group in one pass by fn's tie rule
-    # (Vio's, or the vote's); the per-class path hands each tied group to fn
-    # in order of least keys: the same picks and the same rng draws, and no
-    # call of fn unless tied values cannot be sorted together
+         4)
+@example([(0, "9"), (0, "x")], IN_ORDER, True, False, 4)
+def test_vio_batched_ties_match_per_class_picks(rows, keys, ints, weighted,
+                                                seed):
+    # _majority settles Vio's tied groups in one pass; the per-class path
+    # hands each tied group to _vio_pick in order of least keys: the same
+    # picks and the same rng draws, and no per-class call unless tied
+    # values cannot be sorted together
     if ints:  # the digit strings as ints, which sort only among themselves
         rows = [(g, int(v) if v in ("9", "10") else v) for g, v in rows]
     rel = Relation(Schema(["g", "v"]), range(1, len(rows) + 1),
@@ -520,9 +508,10 @@ def test_batched_ties_match_per_class_picks(rows, keys, ints, weighted, fn,
     got_rng, ref_rng = random.Random(seed), random.Random(seed)
     with (nullcontext() if ints else mock.patch.object(
             priority, "_call_per_class", side_effect=AssertionError)):
-        got = settled(lambda: _majority(rel, fd, fn, got_rng, *args)[1])
+        got = settled(
+            lambda: _majority(rel, fd, _vio_pick, got_rng, *args)[1])
     assert got == settled(
-        lambda: per_class_majority(rel, fd, fn, ref_rng, *args))
+        lambda: per_class_majority(rel, fd, _vio_pick, ref_rng, *args))
     assert got_rng.getstate() == ref_rng.getstate()
 
 
