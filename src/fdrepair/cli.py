@@ -27,7 +27,7 @@ def _load_inputs(args):
 
 def _load_fn_map(path):
     fn_map = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in rule_lines(fh):
             attr, _, name = map(str.strip, line.partition("="))
             if not _:
@@ -41,7 +41,7 @@ def _load_fn_map(path):
 
 def _load_priority_file(path):
     override = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in rule_lines(fh):
             try:  # no colon, or an index that is not an integer
                 index, order = line.split(":", 1)

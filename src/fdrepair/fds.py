@@ -18,6 +18,9 @@ class FD:
     rhs: str
 
     def __post_init__(self):
+        if isinstance(self.lhs, str):  # would split into its characters
+            raise ValueError("FD left-hand side must be a set of attribute "
+                             "names, not the string %r" % (self.lhs,))
         if not self.lhs:
             raise ValueError("FD left-hand side must be non-empty")
         object.__setattr__(self, "lhs", frozenset(self.lhs))
@@ -169,7 +172,7 @@ def parse_fds(text, schema=None):
 
 
 def load_fds(path, schema=None):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_fds(fh.read(), schema)
 
 

@@ -130,17 +130,13 @@ def _group_min(row_group, keys, n_groups):
     return least
 
 
-def _vio_pick(values, null_counts, width, rng):
-    """Vio's tie rule: a seeded draw among the tied values, NULL last."""
-    return rng.choice(sorted(values, key=lambda v: (v is None, v)))
-
-
 def _vio_rows(rel, a, cover, rng, null_equals_null):
     """Mask of the rows whose ``a`` value differs from their lhs group's
     majority value under some FD of ``cover`` with rhs ``a``.
 
-    Several values sharing a group's top count are settled by
-    ``_vio_pick``, NULL among them, groups in order of their first row.
+    Several values sharing a group's top count are settled by Vio's tie
+    rule, a seeded draw among them with NULL last (``_settle_vio_ties``),
+    groups in order of their first row.
     NULL keys under NULL-unequal semantics are groups of one, which never
     tie and never differ.
     """
@@ -150,7 +146,7 @@ def _vio_rows(rel, a, cover, rng, null_equals_null):
     for fd in cover:
         if fd.rhs == a:
             ids = group_rows(rel, sorted(fd.lhs), null_equals_null)
-            _, winner = _majority(rel, fd, _vio_pick, rng, ids, codes, rows)
+            _, winner = _majority(rel, fd, None, rng, ids, codes, rows)
             minority |= codes != winner
     return minority
 
@@ -207,12 +203,12 @@ def _majority(rel, fd, fn, rng, groups, codes, keys, weights=None):
 
     ``weights`` (1 per row by default) are summed per (group, code) pair
     over all groups at once, and a group whose top is one code takes it.
-    Vio's tied groups are settled together by ``_settle_vio_ties``. Any
-    other tied group, or every one if the tied values cannot be sorted
-    together, is handed to ``fn`` with just its tied values, once each at
-    zero NULLs (``_call_per_class``): ``fn`` applies its own tie rule and
-    makes the draw it would make on the whole bag. Either way each draw is
-    the one a row loop makes, in order of the groups' least ``keys``.
+    With ``fn`` None, the tied groups are settled together by Vio's tie
+    rule (``_settle_vio_ties``). Otherwise each tied group is handed to
+    ``fn`` with just its tied values, once each at zero NULLs
+    (``_call_per_class``): ``fn`` applies its own tie rule and makes the
+    draw it would make on the whole bag. Either way each draw is the one a
+    row loop makes, in order of the groups' least ``keys``.
 
     Returns the number of groups showing two or more codes and each row's
     new code.
@@ -223,28 +219,26 @@ def _majority(rel, fd, fn, rng, groups, codes, keys, weights=None):
     if tied.any():
         least = _group_min(row_group, keys, len(n_top))
         grp, code = top_group[tied], top_code[tied]
-        settled = (_settle_vio_ties(rel.values(fd.rhs), rng, least, n_top,
-                                    grp, code)
-                   if fn is _vio_pick else None)
-        if settled is None:  # no draw made yet: settle group by group
+        if fn is None:
+            grp, code = _settle_vio_ties(rel.values(fd.rhs), rng, least,
+                                         n_top, grp, code)
+        else:
             order = np.argsort(least[grp], kind="stable")
-            grp, code = grp[order], code[order]
-            settled = grp, _call_per_class(
-                rel, fd, fn, rng, least[grp], code,
-                np.zeros(len(grp), dtype=np.int64))
-        tied_groups, picks = settled
-        winner[tied_groups] = picks
+            grp = grp[order]
+            code = _call_per_class(rel, fd, fn, rng, least[grp], code[order],
+                                   np.zeros(len(grp), dtype=np.int64))
+        winner[grp] = code
     return int(np.count_nonzero(n_codes > 1)), winner[row_group]
 
 
 def _settle_vio_ties(values, rng, least, n_top, grp, code):
-    """Settle every tied group in one pass, as ``_vio_pick`` would.
+    """Settle every tied group in one pass by Vio's tie rule: the draw
+    ``rng.choice`` makes among the group's tied values sorted, NULL last.
 
     ``grp`` and ``code`` are the tied (group, code) pairs in ascending
     order, ``n_top`` counts each group's pairs and ``values`` decodes the
     codes. The distinct tied codes are ranked by their values in one
-    ``sorted`` call, NULL last; if two values cannot be compared, it
-    returns None before any draw. Each group takes ``rng.choice(range(n))``
+    ``sorted`` call, NULL last. Each group takes ``rng.choice(range(n))``
     of its ``n`` tied codes in rank order, the draw ``rng.choice`` makes on
     any ``n`` values, in order of the groups' ``least`` keys. Returns the
     tied groups and each one's pick.
@@ -254,10 +248,7 @@ def _settle_vio_ties(values, rng, least, n_top, grp, code):
     distinct[dense] = code
     texts = list(map(values.__getitem__, distinct.tolist()))
     null = int(distinct[0] == NULL)  # NULL is code 0, so first if tied
-    try:
-        by_text = sorted(range(null, k), key=texts.__getitem__)
-    except TypeError:
-        return None
+    by_text = sorted(range(null, k), key=texts.__getitem__)
     rank = np.empty(k, dtype=np.int64)
     rank[by_text + [0] * null] = np.arange(k)
     ranked = code[np.argsort(grp * k + rank[dense], kind="stable")]

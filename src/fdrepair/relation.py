@@ -1,7 +1,8 @@
 """Tabular data model: relations over a named schema with tuple ids.
 
-Cells are untyped strings compared byte-exactly; NULL is represented by
-``None``. Each row carries a tuple id (tid), an int64 integer that is
+Cells are ``str``, compared byte-exactly, and NULL is ``None``; any other
+value raises ValueError where it would enter a relation, before it is
+written. Each row carries a tuple id (tid), an int64 integer that is
 unique within a relation and is never treated as a repairable attribute.
 
 Storage is columnar and dictionary-encoded: each attribute holds one
@@ -94,12 +95,13 @@ def _unique_tids(tids):
 
 class _Dictionary(dict):
     """One attribute's value -> code map; ``values`` maps codes back. An
-    unseen value gets the next code as it is looked up. While ``load_csv``
-    finds a column's cells all distinct, it keeps them in ``seen`` and
-    numbers them in order: the map stays unbuilt (not ``mapped``) until
-    ``ready`` enters every value in one call. After the column's first
-    repeat, until the load ends, ``cache`` holds its word cache (see
-    ``split_codes``)."""
+    unseen value gets the next code as it is looked up; one that is not a
+    ``str`` raises ValueError instead, and is not entered. While
+    ``load_csv`` finds a column's cells all distinct, it keeps them in
+    ``seen`` and numbers them in order: the map stays unbuilt (not
+    ``mapped``) until ``ready`` enters every value in one call. After the
+    column's first repeat, until the load ends, ``cache`` holds its word
+    cache (see ``split_codes``)."""
 
     def __init__(self):
         super().__init__({None: NULL})
@@ -107,6 +109,8 @@ class _Dictionary(dict):
         self.mapped, self.seen, self.cache = True, None, None
 
     def __missing__(self, value):
+        if not isinstance(value, str):
+            raise ValueError("cells must be str or None, not %r" % (value,))
         code = self[value] = len(self.values)
         self.values.append(value)
         return code
@@ -532,7 +536,8 @@ def _blocks(fh, width):
 def load_csv(path, null_token="", tid_column=None):
     """Read a relation from a headered CSV file.
 
-    Cells equal to ``null_token`` become NULL. If ``tid_column`` is given,
+    Cells equal to ``null_token`` become NULL. A UTF-8 byte order mark at
+    the start of the file is skipped. If ``tid_column`` is given,
     that column supplies the tids (unique int64 integers); otherwise tids
     are assigned 1..n in row order.
 
@@ -570,7 +575,7 @@ def load_csv(path, null_token="", tid_column=None):
 
 def _load_csv(path, null_token, tid_column, errors):
     """``load_csv``, decoding with the codec error handler ``errors``."""
-    with open(path, newline="", encoding="utf-8", errors=errors) as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors=errors) as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:

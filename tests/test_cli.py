@@ -162,6 +162,28 @@ def test_repair_priority_file(tmp_path):
         (["a", "b"], ["b", "a"]), (["c", "d"], ["d", "c"])]
 
 
+def test_repair_reads_files_with_a_leading_bom(tmp_path):
+    # data, FD, fn-map and priority files saved with a UTF-8 byte order
+    # mark repair as they do without one
+    argv = _priority_inputs(tmp_path, "1: b > a\n2: d > c\n")
+    fn_map = tmp_path / "fns.txt"
+    fn_map.write_text("a = max\n")
+    argv += ["--fn-map", str(fn_map)]
+    assert main(argv) == 0
+
+    def outputs():
+        classes = json.loads((tmp_path / "r.json").read_text())["classes"]
+        for c in classes:
+            del c["duration_s"]
+        return (tmp_path / "out.csv").read_bytes(), classes
+    want = outputs()
+    for name in ("d.csv", "f.txt", "p.txt", "fns.txt"):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(argv) == 0
+    assert outputs() == want
+
+
 def test_repair_priority_file_malformed_line(tmp_path, capsys):
     assert main(_priority_inputs(tmp_path, "1: b > a\n2 d > c\n")) == 1
     assert ("malformed priority line '2 d > c'"

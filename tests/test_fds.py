@@ -240,6 +240,24 @@ def test_fd_rejects_an_empty_lhs():
     assert str(exc.value) == "FD left-hand side must be non-empty"
 
 
+def test_fd_rejects_a_bare_string_lhs():
+    # a string would be split into its characters: 'zip' into {i, p, z}
+    with pytest.raises(ValueError) as exc:
+        FD("zip", "city")
+    assert str(exc.value) == ("FD left-hand side must be a set of attribute "
+                              "names, not the string 'zip'")
+    assert FD(["zip"], "city").lhs == frozenset({"zip"})
+
+
+def test_load_fds_skips_a_leading_bom(tmp_path):
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text("zip -> city\nzip,city -> state\n", encoding="utf-8")
+    bom.write_text("zip -> city\nzip,city -> state\n", encoding="utf-8-sig")
+    schema = Schema(["zip", "city", "state"])
+    assert load_fds(bom, schema) == load_fds(plain, schema) == [
+        FD({"zip"}, "city"), FD({"zip", "city"}, "state")]
+
+
 def test_parse_fd_rejects_malformed():
     with pytest.raises(ValueError):
         parse_fd("a b c")

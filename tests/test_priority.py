@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from contextlib import nullcontext
 from functools import partial
 from itertools import repeat
 from unittest import mock
@@ -14,7 +13,7 @@ from fdrepair.dsf import DisjointSetForest
 from fdrepair.fds import minimal_cover, violates
 from fdrepair.partition import fds_entering_at
 from fdrepair.priority import (_GRID_PER_ROW, RepairStats, _call_per_class,
-                               _group_min, _majority, _tally, _vio_pick,
+                               _group_min, _majority, _tally,
                                estimate_priority, fix, pilot_fds,
                                priority_repair, shares_forest,
                                skip_revision_unary, update_dsf, vio)
@@ -418,30 +417,10 @@ def test_other_functions_see_only_mixed_classes(rows, fn, cells_per_row,
         assert all(len(set(bag)) >= 2 for bag in handed)
 
 
-def test_vio_ties_of_mixed_types_settle_per_group():
-    # ints tie in one group, strs in another: only values of one group are
-    # compared, as in the row loop, so neither raises
-    rows = [["1", 2], ["1", 1], ["2", "y"], ["2", "x"], ["3", 1], ["3", "x"],
-            ["3", "x"]]
-    rel = Relation(Schema(["a", "b"]), [7, 3, 5, 1, 2, 6, 4], rows)
-    fd = FD(frozenset("a"), "b")
-    for seed in range(8):
-        got_rng, ref_rng = random.Random(seed), random.Random(seed)
-        assert vio(rel, fd.rhs, [fd], got_rng) == vio_fd_reference(
-            rel, fd, ref_rng, True)
-        assert got_rng.getstate() == ref_rng.getstate()
-
-
-def test_vio_tie_of_incomparable_values_raises():
-    rel = Relation(Schema(["a", "b"]), [1, 2], [["1", 1], ["1", "x"]])
-    with pytest.raises(TypeError):
-        vio(rel, "b", [FD(frozenset("a"), "b")], random.Random(0))
-
-
 def per_class_majority(rel, fd, fn, rng, groups, codes, keys, weights):
     """``_majority``'s winners with each tied group handed to ``fn`` in
-    turn, through ``_call_per_class``, as before Vio's ties were settled in
-    one pass."""
+    turn, through ``_call_per_class``, in order of least keys as a row loop
+    reaches them: the reference for Vio's one-pass settle."""
     row_group, _, n_top, winner, (top_group, top_code) = _tally(
         groups, codes, weights)
     tied = n_top[top_group] > 1
@@ -454,12 +433,10 @@ def per_class_majority(rel, fd, fn, rng, groups, codes, keys, weights):
     return winner[row_group]
 
 
-def settled(majority):
-    """The winners ``majority()`` gives, or TypeError if it raises one."""
-    try:
-        return majority().tolist()
-    except TypeError:
-        return TypeError
+def vio_pick(values, null_counts, width, rng):
+    """Vio's tie rule as a row loop applies it to one group's tied values:
+    a seeded draw among them, NULL last."""
+    return rng.choice(sorted(values, key=lambda v: (v is None, v)))
 
 
 # (group, value) rows; a value's code is the order in which it first appears
@@ -470,33 +447,23 @@ IN_ORDER = list(range(12))
 
 
 @settings(max_examples=more(300), deadline=None)
-@given(tie_rows, st.permutations(range(12)), st.booleans(), st.booleans(),
+@given(tie_rows, st.permutations(range(12)), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
 # NULL among the tied values
 @example([(0, None), (0, "x"), (0, "9"), (1, "x"), (1, None), (1, "10")],
-         IN_ORDER, False, False, 0)
-@example([(0, "x"), (0, None), (1, None), (1, "9")], IN_ORDER, False, True, 1)
+         IN_ORDER, False, 0)
+@example([(0, "x"), (0, None), (1, None), (1, "9")], IN_ORDER, True, 1)
 # text order against code order: "9" takes the lower code but sorts after
 # "10" in group 0; "10" is entered before "9" in group 1
-@example([(0, "9"), (0, "10"), (0, "x")], IN_ORDER, False, False, 2)
-@example([(1, "10"), (1, "9"), (0, "x"), (0, "9")], IN_ORDER, False, False, 2)
+@example([(0, "9"), (0, "10"), (0, "x")], IN_ORDER, False, 2)
+@example([(1, "10"), (1, "9"), (0, "x"), (0, "9")], IN_ORDER, False, 2)
 # groups whose least keys come in another order than their ids and codes
 @example([(0, "x"), (0, "9"), (1, "10"), (1, "x"), (2, "9"), (2, "10")],
-         [9, 8, 1, 0, 5, 4, *range(10, 16)], False, False, 3)
-# mixed types: ints tied in one group and strs in another cannot be sorted
-# together, so the groups are settled one by one; an int tied with a str
-# raises on either path
-@example([(0, "9"), (0, "10"), (1, "x"), (1, None)], IN_ORDER, True, False,
-         4)
-@example([(0, "9"), (0, "x")], IN_ORDER, True, False, 4)
-def test_vio_batched_ties_match_per_class_picks(rows, keys, ints, weighted,
-                                                seed):
+         [9, 8, 1, 0, 5, 4, *range(10, 16)], False, 3)
+def test_vio_batched_ties_match_per_class_picks(rows, keys, weighted, seed):
     # _majority settles Vio's tied groups in one pass; the per-class path
-    # hands each tied group to _vio_pick in order of least keys: the same
-    # picks and the same rng draws, and no per-class call unless tied
-    # values cannot be sorted together
-    if ints:  # the digit strings as ints, which sort only among themselves
-        rows = [(g, int(v) if v in ("9", "10") else v) for g, v in rows]
+    # hands each tied group to vio_pick in order of least keys: the same
+    # picks and the same rng draws, and never a per-class call
     rel = Relation(Schema(["g", "v"]), range(1, len(rows) + 1),
                    [[str(g), v] for g, v in rows])
     fd = FD(frozenset("g"), "v")
@@ -506,12 +473,11 @@ def test_vio_batched_ties_match_per_class_picks(rows, keys, ints, weighted,
     args = (np.array([g for g, _ in rows]), rel.codes("v"),
             np.array(keys[:len(rows)]), weights)
     got_rng, ref_rng = random.Random(seed), random.Random(seed)
-    with (nullcontext() if ints else mock.patch.object(
-            priority, "_call_per_class", side_effect=AssertionError)):
-        got = settled(
-            lambda: _majority(rel, fd, _vio_pick, got_rng, *args)[1])
-    assert got == settled(
-        lambda: per_class_majority(rel, fd, _vio_pick, ref_rng, *args))
+    with mock.patch.object(priority, "_call_per_class",
+                           side_effect=AssertionError):
+        got = _majority(rel, fd, None, got_rng, *args)[1]
+    assert got.tolist() == per_class_majority(rel, fd, vio_pick, ref_rng,
+                                              *args).tolist()
     assert got_rng.getstate() == ref_rng.getstate()
 
 
