@@ -11,7 +11,7 @@ import time
 from .datagen import GenConfig, generate
 from .evaluate import evaluate
 from .fds import load_fds, rule_lines, save_fds
-from .partition import fds_entering_at
+from .partition import fds_by_entering_class
 from .priority import pilot_fds
 from .relation import load_csv, save_csv
 from .repair_functions import BUILTINS
@@ -101,9 +101,10 @@ def cmd_partition(args):
     rel, fds = _load_inputs(args)
     cover, part, non_rep = plan(fds, rel.schema,
                                 null_equals_null=not args.null_unequal)
-    for i, cls in enumerate(part.classes, start=1):
+    entering = fds_by_entering_class(cover, part)
+    for i, (cls, fds_i) in enumerate(zip(part.classes, entering), start=1):
         print("C%d: %s" % (i, ", ".join(cls)))
-        pilots, rest = pilot_fds(cls, fds_entering_at(cover, part, i))
+        pilots, rest = pilot_fds(cls, fds_i)
         for fd in pilots:
             print("  pilot:     %s" % fd)
         for fd in rest:

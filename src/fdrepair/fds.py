@@ -61,28 +61,39 @@ def minimal_cover(fds):
 
     ``nontrivial(fds)`` is reduced: left-hand sides one attribute at a time
     against the full set, then redundant FDs in a fixed scan order, so the
-    result is deterministic given input order.
+    result is deterministic given input order. Closures run on attribute
+    bit masks, an FD being an (lhs mask, rhs bit) pair.
     """
     work = nontrivial(fds)
+    bit = {a: 1 << i for i, a in enumerate(
+        {a for fd in work for a in fd.attributes})}
+    masks = [(sum(map(bit.get, fd.lhs)), bit[fd.rhs]) for fd in work]
 
+    def closure(attrs, pairs):
+        before = None
+        while attrs != before:
+            before = attrs
+            for lhs, rhs in pairs:
+                if lhs & attrs == lhs:
+                    attrs |= rhs
+        return attrs
     # lhs reduction: drop attributes whose removal keeps the FD implied
     for i, fd in enumerate(work):
-        lhs = set(fd.lhs)
+        lhs, rhs = masks[i]
         for b in sorted(fd.lhs):
-            if len(lhs) == 1:
-                break
-            reduced = frozenset(lhs - {b})
-            if fd.rhs in attribute_closure(reduced, work):
-                lhs.discard(b)
-        work[i] = FD(frozenset(lhs), fd.rhs)
+            if lhs & (lhs - 1) and closure(lhs & ~bit[b], masks) & rhs:
+                lhs &= ~bit[b]  # while two or more attributes are left
+        if lhs != masks[i][0]:
+            masks[i] = lhs, rhs
+            work[i] = FD(frozenset(a for a in fd.lhs if bit[a] & lhs), fd.rhs)
 
-    # redundancy elimination
-    cover = deduped = list(dict.fromkeys(work))
-    for fd in deduped:
-        rest = [f for f in cover if f != fd]
-        if implies(rest, fd):
+    # redundancy elimination over the distinct FDs, in order
+    cover = list(fd_of := dict(zip(masks, work)))
+    for lhs, rhs in fd_of:
+        rest = [p for p in cover if p != (lhs, rhs)]
+        if closure(lhs, rest) & rhs:
             cover = rest
-    return cover
+    return list(map(fd_of.get, cover))
 
 
 def group_rows(rel, attrs, null_equals_null=True):

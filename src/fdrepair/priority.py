@@ -264,15 +264,15 @@ def _settle_vio_ties(values, rng, least, n_top, grp, code):
 def _call_per_class(rel, fd, fn, rng, least, codes, null_counts):
     """Call ``fn`` once per class, a run of entries sharing a ``least``
     key, on the values of its rhs ``codes`` and its ``null_counts``; the
-    entries come sorted by least key. Returns each entry's new code."""
+    entries come sorted by least key. Returns each entry's new code; the
+    picks are encoded together, after the last call."""
     bounds = [0, *(np.flatnonzero(np.diff(least)) + 1).tolist(), len(least)]
     bag = list(map(rel.values(fd.rhs).__getitem__, codes.tolist()))
     null_counts = null_counts.tolist()
     width = len(rel.schema)
-    picks = [rel.encode(fd.rhs, fn(bag[start:end], null_counts[start:end],
-                                   width, rng))
+    picks = [fn(bag[start:end], null_counts[start:end], width, rng)
              for start, end in zip(bounds, bounds[1:])]
-    return np.repeat(np.array(picks, dtype=codes.dtype), np.diff(bounds))
+    return np.repeat(rel.encode_all(fd.rhs, picks), np.diff(bounds))
 
 
 def fix(rel, fd, dsf, fn, rng, null_equals_null=True, fixed_count=None):

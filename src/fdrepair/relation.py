@@ -93,10 +93,18 @@ def _unique_tids(tids):
     return arr
 
 
+def _check_cells(cells):
+    """Raise ValueError for the first of ``cells`` that is not a str or
+    None, before any of them is looked up: a list, say, is unhashable."""
+    for value in cells:
+        if value is not None and not isinstance(value, str):
+            raise ValueError("cells must be str or None, not %r" % (value,))
+
+
 class _Dictionary(dict):
     """One attribute's value -> code map; ``values`` maps codes back. An
-    unseen value gets the next code as it is looked up; one that is not a
-    ``str`` raises ValueError instead, and is not entered. While
+    unseen value gets the next code as it is looked up; ``Relation``
+    checks each value from outside a load with ``_check_cells`` first. While
     ``load_csv`` finds a column's cells all distinct, it keeps them in
     ``seen`` and numbers them in order: the map stays unbuilt (not
     ``mapped``) until ``ready`` enters every value in one call. After the
@@ -109,8 +117,6 @@ class _Dictionary(dict):
         self.mapped, self.seen, self.cache = True, None, None
 
     def __missing__(self, value):
-        if not isinstance(value, str):
-            raise ValueError("cells must be str or None, not %r" % (value,))
         code = self[value] = len(self.values)
         self.values.append(value)
         return code
@@ -218,6 +224,7 @@ class Relation:
             raise ValueError("tids and rows must have equal length")
         for row in rows:
             self._check_arity(row)
+        _check_cells(chain.from_iterable(rows))
         local = np.arange(len(rows))
         self._extend(tids, (d.lookup(col, local)
                             for d, col in zip(self._dicts, zip(*rows))))
@@ -260,6 +267,7 @@ class Relation:
 
     def append(self, tid, row):
         self._check_arity(row)
+        _check_cells(row)
         tids = _unique_tids([tid])
         if tids[0] in self._pos:
             raise ValueError("duplicate tid %d" % tids[0])
@@ -301,7 +309,14 @@ class Relation:
 
     def encode(self, attr, value):
         """The attribute's code for ``value``, adding it if it is new."""
-        return self._dicts[self.schema.index(attr)].ready()[value]
+        return int(self.encode_all(attr, [value])[0])
+
+    def encode_all(self, attr, values):
+        """``encode`` of each of ``values``, as int32 codes, checking them
+        all (see ``_check_cells``) before the first is entered."""
+        _check_cells(values)
+        d = self._dicts[self.schema.index(attr)].ready()
+        return np.fromiter(map(d.__getitem__, values), np.int32, len(values))
 
     # ------------------------------------------------------------ decoded
 
@@ -320,8 +335,8 @@ class Relation:
         return self._dicts[j].values[self._data[j, self._position(tid)]]
 
     def set(self, tid, attr, value):
-        j = self.schema.index(attr)
-        self._data[j, self._position(tid)] = self._dicts[j].ready()[value]
+        pos = self._position(tid)  # an unknown tid enters no value
+        self._data[self.schema.index(attr), pos] = self.encode(attr, value)
 
     def column(self, attr):
         return list(map(self.values(attr).__getitem__,
@@ -460,16 +475,17 @@ def _split(block, width):
     del raw
     data[size - 1] = ord("\n")
     body = data[:size]
-    seps = body == ord(",")
-    seps |= body == ord("\n")
+    seps = body == ord("\n")
+    lines = np.count_nonzero(seps)
+    seps |= body == ord(",")
     seps = np.flatnonzero(seps)
-    lines = block.count("\n") + (not block.endswith("\n"))
     # each line end is the width-th separator after the one before, and
     # each \r the byte before a line end
     line_ends = seps[width - 1::width]
     cr = data[line_ends - 1] == ord("\r")
     if (len(seps) != width * lines or (data[line_ends] != ord("\n")).any()
-            or block.count("\r") != np.count_nonzero(cr)):
+            or "\r" in block and np.count_nonzero(body == ord("\r"))
+            != np.count_nonzero(cr)):
         return None
     # no cell is longer than its line; a length in bytes is never less
     # than in characters

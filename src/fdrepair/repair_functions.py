@@ -11,7 +11,6 @@ totals, calling them only to settle a tied class. ``max`` and
 user-supplied functions are called once per class on its whole bag.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -32,9 +31,10 @@ def vote(values, null_counts, schema_width, rng, exponent):
     tied constants are settled by ``rng.choice`` of them sorted."""
     if not values:
         raise ValueError("empty bag")
-    weights = Counter()
+    weights = {}  # a plain dict: Counter pays a Python call per new key
+    get = weights.get
     for v, n in zip(values, null_counts, strict=True):
-        weights[v] += (schema_width - n) ** exponent
+        weights[v] = get(v, 0) + (schema_width - n) ** exponent
     best = max(weights.values())
     return _break_tie([v for v, w in weights.items() if w == best], rng)
 

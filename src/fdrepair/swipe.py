@@ -19,8 +19,9 @@ from itertools import repeat
 import numpy as np
 
 from .fds import minimal_cover, nontrivial, violates
+# Nothing here calls fds_entering_at; perfbench/trace.py wraps it by name.
 from .partition import (build_preorder, induced_partition, fds_entering_at,
-                        check_forward_repairable)
+                        fds_by_entering_class, check_forward_repairable)
 from .priority import RepairInvariantError, RepairStats, priority_repair
 from .relation import SchemaError
 from .repair_functions import get_function, RepairFunction
@@ -153,8 +154,8 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
 
     repaired = rel.copy()
     outcomes = []
-    for i, cls in enumerate(part.classes, start=1):
-        fds_i = fds_entering_at(cover, part, i)
+    entering = fds_by_entering_class(cover, part)
+    for i, (cls, fds_i) in enumerate(zip(part.classes, entering), start=1):
         tc = time.perf_counter()
         stats = priority_repair(
             repaired, fds_i, cls, functions, rng,

@@ -1,6 +1,7 @@
 """Helpers shared by several test modules: the random FD instances the
-property tests and the output census draw, the census digest itself, and
-an exhaustive oracle for partition maximality.
+property tests and the output census draw, the census digest itself, an
+exhaustive oracle for partition maximality, and a set-based reference for
+``minimal_cover``.
 
 The census repairs 3,600 generated instances and hashes every output into
 one sha256, which ``tests/test_golden.py`` pins: any engine change that
@@ -11,6 +12,7 @@ import hashlib
 import random
 
 from fdrepair import FD, Relation, Schema, swipe
+from fdrepair.fds import attribute_closure, implies, nontrivial
 from fdrepair.partition import Partition, check_forward_repairable
 from fdrepair.swipe import RepairInvariantError
 
@@ -96,3 +98,25 @@ def assert_maximally_refined(part, cover, max_class_size=12):
                 if check_forward_repairable(split, cover):
                     return False
     return True
+
+
+def minimal_cover_reference(fds):
+    """``minimal_cover`` on attribute sets and FD objects: each lhs reduced
+    one attribute at a time, in sorted order, against the FDs as reduced so
+    far; then each distinct FD, in order, dropped if the others left imply
+    it."""
+    work = nontrivial(fds)
+    for i, fd in enumerate(work):
+        lhs = set(fd.lhs)
+        for b in sorted(fd.lhs):
+            if len(lhs) == 1:
+                break
+            if fd.rhs in attribute_closure(lhs - {b}, work):
+                lhs.discard(b)
+        work[i] = FD(frozenset(lhs), fd.rhs)
+    cover = deduped = list(dict.fromkeys(work))
+    for fd in deduped:
+        rest = [f for f in cover if f != fd]
+        if implies(rest, fd):
+            cover = rest
+    return cover

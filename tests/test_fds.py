@@ -8,6 +8,7 @@ from fdrepair import FD, Relation, Schema, SchemaError, load_fds, save_fds
 from fdrepair.fds import (attribute_closure, group_rows, implies,
                           minimal_cover, mixed_rows, parse_fd, parse_fds,
                           violates)
+from helpers import minimal_cover_reference
 
 
 def fd(lhs, rhs):
@@ -205,6 +206,18 @@ def test_minimal_cover_properties(pairs):
         assert not implies([g for g in cover if g != f], f)
     # deterministic given input order
     assert minimal_cover(fds) == cover
+
+
+@settings(deadline=None)
+@given(st.one_of(fdset, st.lists(st.tuples(
+    st.sets(st.sampled_from("ABCDEFGHIJ"), min_size=1, max_size=4),
+    st.sampled_from("ABCDEFGHIJ")), max_size=30)))
+@example([({"A"}, "B"), ({"B"}, "C"), ({"A"}, "C"), ({"A", "B"}, "C"),
+          ({"A", "D"}, "B"), ({"A"}, "B"), ({"A"}, "A")])
+def test_minimal_cover_matches_set_reference(pairs):
+    # the bit-mask cover must give the set-based algorithm's FDs, in order
+    fds = [FD(lhs, rhs) for lhs, rhs in pairs]
+    assert minimal_cover(fds) == minimal_cover_reference(fds)
 
 
 def test_parse_fd_basic():

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from fdrepair import FD, Schema
 from fdrepair.fds import minimal_cover
 from fdrepair.partition import (Partition, build_preorder,
-                                check_forward_repairable, fds_entering_at,
-                                induced_partition)
+                                check_forward_repairable, fds_by_entering_class,
+                                fds_entering_at, induced_partition)
 from helpers import assert_maximally_refined
 
 
@@ -164,7 +164,8 @@ def test_entering_class_matches_prefix_projection(pairs):
     for p in [part, Partition(c[:-1])] + swapped:
         at = range(1, len(p.classes) + 1)
         assert [fds_entering_at(cover, p, i) for i in at] == \
-            [entering_by_definition(cover, p, i) for i in at]
+            [entering_by_definition(cover, p, i) for i in at] == \
+            fds_by_entering_class(cover, p)
         assert check_forward_repairable(p, cover) == \
             forward_repairable_by_definition(p, cover)
     for fd in cover:  # every cover FD enters at exactly one class

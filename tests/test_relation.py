@@ -3,6 +3,7 @@ import gc
 import io
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -63,26 +64,32 @@ def test_duplicate_tid_rejected():
 
 @pytest.mark.parametrize("rows, bad", [([[1], [1.0], [True]], 1),
                                        ([["x"], [2.5]], 2.5),
-                                       ([["x"], [b"x"]], b"x")])
+                                       ([["x"], [b"x"]], b"x"),
+                                       ([["x"], [["l"]]], ["l"])])
 def test_non_string_cells_rejected(rows, bad):
     # a cell is a str or None; equal non-strings such as 1, 1.0 and True
-    # would share one dictionary entry and read back as the first
+    # would share one dictionary entry and read back as the first, and an
+    # unhashable one gets the same ValueError, not a TypeError. Every cell
+    # is checked before the first is entered: a refused row leaves no value
+    # in a dictionary, which copies share and save_csv writes
     message = "cells must be str or None, not %r" % (bad,)
     with pytest.raises(ValueError) as exc:
         Relation(Schema(["a"]), range(len(rows)), rows)
     assert str(exc.value) == message
     rel = make_rel(["a", "b"], [["x", "y"]])
-    for row in ([bad, "y"], ["z", bad]):
+    refusals = [partial(rel.append, 2, [bad, "y"]),
+                partial(rel.append, 2, ["z", bad]),
+                partial(rel.set, 1, "b", bad),
+                partial(rel.encode_all, "a", ["z", bad])]
+    for refused in refusals:
         with pytest.raises(ValueError) as exc:
-            rel.append(2, row)
+            refused()
         assert str(exc.value) == message
         assert rel.tids == [1] and rel.rows == [["x", "y"]]
-    with pytest.raises(ValueError) as exc:
-        rel.set(1, "b", bad)
-    assert str(exc.value) == message
-    assert rel.rows == [["x", "y"]]
+        assert rel.values("a") == [None, "x"] and rel.values("b") == [None, "y"]
     rel.append(2, ["z", None])
     assert rel.tids == [1, 2] and rel.rows == [["x", "y"], ["z", None]]
+    assert rel.values("a") == [None, "x", "z"]
 
 
 def test_repair_function_returning_non_string_rejected():
@@ -513,6 +520,36 @@ def test_load_csv_matches_csv_reader_on_raw_text(tmp_path_factory, raw,
                                                   chunk_rows):
     text, has_tid = raw
     p = tmp_path_factory.mktemp("raw") / "r.csv"
+    p.write_bytes(text.encode())
+    _check_like_csv_reader(p, has_tid, chunk_rows)
+
+
+@pytest.mark.parametrize("text, splits", [
+    ("c0,c1\na\rb,c\nd,e\n", False),  # a lone \r inside a cell
+    ("c0,c1\na,b\rc\nd,e\r\n", False),  # one more \r than line ends
+    ("c0,c1\r\na,b\r\nc,\r\n,d\r\n", True),  # \r\n line ends
+    ("c0,c1\na,b\r\nc,d\ne,f", True),  # mixed ends, no final one
+    ("c0,c1\na,b\nc,d", True),  # no final line end
+    ("c0,c1\na,b\nc,d\r", True),  # a \r ends the file: a line end
+])
+@pytest.mark.parametrize("has_tid", [False, True])
+@pytest.mark.parametrize("chunk_rows", [1, _CHUNK_ROWS])
+def test_split_line_ends_match_csv_reader(tmp_path, text, splits, has_tid,
+                                          chunk_rows):
+    # _split counts the lines from its byte mask and the \r only when the
+    # block holds one; a block it cannot read as csv.reader does is left
+    # to csv.reader
+    if has_tid:
+        header, *lines = text.split("\n")
+        text = "\n".join(["tid," + header] + ["%d,%s" % (i, line) if line
+                          else line for i, line in enumerate(lines, 1)])
+    body = text.split("\n", 1)[1]
+    width = 3 if has_tid else 2
+    split = relation._split(body, width)
+    assert (split is not None) == splits
+    if split:
+        assert split[1] == len(list(csv.reader(io.StringIO(body, newline=""))))
+    p = tmp_path / "r.csv"
     p.write_bytes(text.encode())
     _check_like_csv_reader(p, has_tid, chunk_rows)
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import fdrepair
 from fdrepair import RepairFunction
-from fdrepair.repair_functions import BUILTINS, MV, WV, get_function, max_value
+from fdrepair.repair_functions import (BUILTINS, MV, WV, get_function,
+                                       max_value, vote)
 
 
 def test_majority_clear_winner():
@@ -143,3 +145,31 @@ def test_idempotence_on_constant_bags(v, n):
     values = [v] * n
     for fn in BUILTINS.values():
         assert fn(values, [0] * n, 8, random.Random(0)) == v
+
+
+def counter_vote(values, null_counts, schema_width, rng, exponent):
+    """``vote`` as a Counter of summed weights: the top values in order of
+    first entry, a constant beating NULL, tied constants drawn by
+    ``rng.choice`` sorted."""
+    weights = Counter()
+    for v, n in zip(values, null_counts, strict=True):
+        weights[v] += (schema_width - n) ** exponent
+    top = [v for v, w in weights.items() if w == max(weights.values())]
+    pool = [v for v in top if v is not None] or top
+    return pool[0] if len(pool) == 1 else rng.choice(sorted(set(pool)))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(lambda width: st.tuples(
+           st.just(width),
+           st.lists(st.tuples(st.sampled_from([None, "a", "b", "c", "dd"]),
+                              st.integers(0, width)), min_size=1, max_size=12))),
+       st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_vote_matches_counter_vote(bag, exponent, seed):
+    # the same pick and the same rng draws, NULLs and zero weights included
+    width, entries = bag
+    values, null_counts = map(list, zip(*entries))
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert vote(values, null_counts, width, rng, exponent) == \
+        counter_vote(values, null_counts, width, ref, exponent)
+    assert rng.getstate() == ref.getstate()
