@@ -1,8 +1,8 @@
-"""Functional dependencies: implication, minimal covers and violations.
+"""Functional dependencies: minimal covers and violations.
 
 An FD is written X -> a with a non-empty attribute set X and a single
-right-hand side attribute. Implication is decided through attribute
-closures; minimal covers are computed deterministically given input order.
+right-hand side attribute. Minimal covers are computed deterministically
+given input order, by closures on attribute bit masks.
 """
 
 from dataclasses import dataclass
@@ -31,24 +31,6 @@ class FD:
 
     def __str__(self):
         return "%s -> %s" % (",".join(sorted(self.lhs)), self.rhs)
-
-
-def attribute_closure(attrs, fds):
-    """Smallest superset S of ``attrs`` with rhs in S for every FD whose lhs is in S."""
-    closure = set(attrs)
-    changed = True
-    while changed:
-        changed = False
-        for fd in fds:
-            if fd.rhs not in closure and fd.lhs <= closure:
-                closure.add(fd.rhs)
-                changed = True
-    return frozenset(closure)
-
-
-def implies(fds, fd):
-    """True iff ``fd`` holds in every relation satisfying ``fds``."""
-    return fd.rhs in attribute_closure(fd.lhs, fds)
 
 
 def nontrivial(fds):

@@ -19,7 +19,9 @@ settles every group whose top is one value, and each tied group is settled
 by its picker's tie rule in the order a row loop reaches it (``_majority``):
 Vio's all in one more pass, a repair function's one call per group. A poll
 whose forest has not changed since the last fix of its rhs finds every
-class uniform, and ``fix`` returns at once.
+class uniform, and ``fix`` returns at once. ``tests/reference.py`` is that
+row-by-row run, and the tests hold whole repairs to it: rows, polls,
+fixes, revisions and the rng state.
 """
 
 import logging
@@ -378,7 +380,7 @@ def shares_forest(class_attrs, fds_i, functions):
 
 
 def priority_repair(rel, fds_i, class_attrs, functions, rng, priority=None,
-                    null_equals_null=True, skip_unary_revision=True):
+                    null_equals_null=True):
     """Repair one partition class in place (mutates ``rel``) and return its
     RepairStats.
 
@@ -405,8 +407,7 @@ def priority_repair(rel, fds_i, class_attrs, functions, rng, priority=None,
         forests = {a: DisjointSetForest(len(rel))
                    for a in class_attrs if a in entered}
     # where the unary-revision shortcut is proven (see skip_revision_unary)
-    skip = skip_unary_revision and (
-        shared or (len(cls) <= 2 and null_equals_null))
+    skip = shared or (len(cls) <= 2 and null_equals_null)
     # per rhs, its forest's class_count after the rhs's last fix: only fixes
     # on that forest write the rhs, so a shared forest is kept per rhs too
     fixed_counts = {}

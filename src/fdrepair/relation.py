@@ -46,6 +46,10 @@ class Schema:
 
     def __init__(self, attributes):
         attributes = list(attributes)
+        for a in attributes:
+            if not isinstance(a, str):
+                raise SchemaError("attribute names must be str, not %r"
+                                  % (a,))
         if len(set(attributes)) != len(attributes):
             raise SchemaError("duplicate attribute names: %r" % (attributes,))
         self.attributes = attributes

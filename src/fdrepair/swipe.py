@@ -115,8 +115,7 @@ def plan(fds, schema, null_equals_null=True):
 
 
 def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
-          priority_override=None, null_equals_null=True,
-          skip_unary_revision=True):
+          priority_override=None, null_equals_null=True):
     """Repair ``rel`` so that every FD in ``fds`` is satisfied.
 
     ``priority_override`` maps a 1-based class index to a manually supplied
@@ -126,10 +125,6 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
     the schema and ValueError for an override of a class that does not
     exist, or that leaves out, repeats or adds to the attributes of its
     class, before anything is repaired.
-
-    ``skip_unary_revision`` takes the paper's unary-revision shortcut in the
-    classes where it is proven; ``False`` makes every revision, the
-    reference path that tests compare the shortcut against.
     """
     t0 = time.perf_counter()
     cover, part, non_repairable = plan(fds, rel.schema, null_equals_null)
@@ -160,8 +155,7 @@ def swipe(rel, fds, repair_fn="mv", fn_map=None, seed=None,
         stats = priority_repair(
             repaired, fds_i, cls, functions, rng,
             priority=(priority_override or {}).get(i),
-            null_equals_null=null_equals_null,
-            skip_unary_revision=skip_unary_revision)
+            null_equals_null=null_equals_null)
         # only this class's FDs write its attributes, and no later class
         # writes them
         changed = {a: int(np.count_nonzero(repaired.codes(a) != rel.codes(a)))

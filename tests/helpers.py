@@ -1,7 +1,8 @@
-"""Helpers shared by several test modules: the random FD instances the
-property tests and the output census draw, the census digest itself, an
+"""Helpers shared by several test modules: the example count of the
+longer property tests, the random FD instances the property tests and the
+output census draw, planted unary cycles, the census digest itself, an
 exhaustive oracle for partition maximality, and a set-based reference for
-``minimal_cover``.
+``minimal_cover`` with the attribute closures it decides implication by.
 
 The census repairs 3,600 generated instances and hashes every output into
 one sha256, which ``tests/test_golden.py`` pins: any engine change that
@@ -11,10 +12,18 @@ moves one output byte, poll, fix or revision for a given seed fails there.
 import hashlib
 import random
 
+from hypothesis import settings
+
 from fdrepair import FD, Relation, Schema, swipe
-from fdrepair.fds import attribute_closure, implies, nontrivial
+from fdrepair.fds import nontrivial
 from fdrepair.partition import Partition, check_forward_repairable
 from fdrepair.swipe import RepairInvariantError
+
+
+def more(n):
+    """``n`` examples, or the loaded profile's count where that is larger,
+    as under ``--hypothesis-profile=ci``."""
+    return max(n, settings().max_examples)
 
 
 def random_relation(rng, k, null_rate):
@@ -36,6 +45,21 @@ def random_instance(seed):
     """Relation of 3-8 attributes, 10% of its cells NULL, and its FDs."""
     rng = random.Random(seed)
     return random_relation(rng, rng.randint(3, 8), 0.1)
+
+
+def planted_cycle(k, seed, null_rate=0.1):
+    """Relation over p, c1..ck with random cells from a three-symbol domain
+    (NULL at ``null_rate``), the unary cycle c1 -> c2 -> ... -> ck -> c1 and
+    the pilot FD p -> c1."""
+    rng = random.Random(seed)
+    cycle = ["c%d" % i for i in range(1, k + 1)]
+    rel = Relation(Schema(["p"] + cycle))
+    for tid in range(1, rng.randint(20, 60) + 1):
+        rel.append(tid, [None if rng.random() < null_rate
+                         else str(rng.randrange(3)) for _ in range(k + 1)])
+    fds = [FD(frozenset({"p"}), "c1")]
+    fds += [FD(frozenset({a}), b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    return rel, fds, cycle
 
 
 def census_runs(seeds):
@@ -98,6 +122,24 @@ def assert_maximally_refined(part, cover, max_class_size=12):
                 if check_forward_repairable(split, cover):
                     return False
     return True
+
+
+def attribute_closure(attrs, fds):
+    """Smallest superset S of ``attrs`` with rhs in S for every FD whose lhs is in S."""
+    closure = set(attrs)
+    changed = True
+    while changed:
+        changed = False
+        for fd in fds:
+            if fd.rhs not in closure and fd.lhs <= closure:
+                closure.add(fd.rhs)
+                changed = True
+    return frozenset(closure)
+
+
+def implies(fds, fd):
+    """True iff ``fd`` holds in every relation satisfying ``fds``."""
+    return fd.rhs in attribute_closure(fd.lhs, fds)
 
 
 def minimal_cover_reference(fds):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdrepair import FD, Relation, Schema, SchemaError, load_fds, save_fds
-from fdrepair.fds import (attribute_closure, group_rows, implies,
-                          minimal_cover, mixed_rows, parse_fd, parse_fds,
-                          violates)
-from helpers import minimal_cover_reference
+from fdrepair.fds import (group_rows, minimal_cover, mixed_rows, parse_fd,
+                          parse_fds, violates)
+from helpers import attribute_closure, implies, minimal_cover_reference, more
 
 
 def fd(lhs, rhs):
@@ -125,7 +124,7 @@ def violates_reference(rel, f, null_equals_null):
             if len({v for _, v in members}) > 1]
 
 
-@settings(max_examples=200)
+@settings(max_examples=more(200))
 @given(st.lists(st.lists(st.sampled_from(["0", "1", None]),
                          min_size=3, max_size=3), max_size=12),
        st.sets(st.sampled_from(["a", "b"]), min_size=1), st.booleans(),
@@ -139,7 +138,7 @@ def test_violates_matches_bruteforce(rows, lhs, null_equals_null, rng):
     assert bad == violates_reference(rel, f, null_equals_null)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=more(200), deadline=None)
 @given(st.lists(st.lists(st.one_of(st.none(), st.integers(0, 9).map(str)),
                          min_size=3, max_size=3), max_size=40),
        st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3,

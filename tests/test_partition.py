@@ -7,7 +7,7 @@ from fdrepair.fds import minimal_cover
 from fdrepair.partition import (Partition, build_preorder,
                                 check_forward_repairable, fds_by_entering_class,
                                 fds_entering_at, induced_partition)
-from helpers import assert_maximally_refined
+from helpers import assert_maximally_refined, more
 
 
 def fd(lhs, rhs):
@@ -151,7 +151,7 @@ def forward_repairable_by_definition(part, cover):
                for fd in entering_by_definition(cover, part, i))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=more(150), deadline=None)
 @given(fdset)
 @example([({"A"}, "B")])  # swapped, [B], [A] is not forward repairable
 def test_entering_class_matches_prefix_projection(pairs):

@@ -20,7 +20,9 @@ from fdrepair.priority import (_GRID_PER_ROW, RepairStats, _call_per_class,
 from fdrepair.repair_functions import (BUILTINS, MAX, MV, WV, RepairFunction,
                                        vote)
 from fdrepair.swipe import plan, resolve_functions
-from helpers import random_instance
+from helpers import more, planted_cycle, random_instance
+from reference import (RowUnionFind, fix_reference, priority_reference,
+                       swipe_reference, vio_fd_reference)
 
 NAME_PROV = FD(frozenset({"hospital name"}), "#provider")
 PROV_NAME = FD(frozenset({"#provider"}), "hospital name")
@@ -33,12 +35,6 @@ GRIDS = (0, 10 ** 9)
 
 def grid(cells_per_row):
     return mock.patch.object(priority, "_GRID_PER_ROW", cells_per_row)
-
-
-def more(n):
-    """``n`` examples, or the loaded profile's count where that is larger,
-    as under ``--hypothesis-profile=ci``."""
-    return max(n, settings().max_examples)
 
 
 def sub_relation(rel, tids):
@@ -186,74 +182,6 @@ def test_forest_over_other_row_count_rejected(hospital_snippet):
         assert d.class_count == n
 
 
-def vio_fd_reference(rel, fd, rng, null_equals_null):
-    """Row-by-row majority per lhs group; ties drawn in first-row order."""
-    lhs = list(map(rel.schema.index, sorted(fd.lhs)))
-    rhs = rel.schema.index(fd.rhs)
-    groups = {}
-    for tid, row in zip(rel.tids, rel.rows):
-        key = tuple(row[i] for i in lhs)
-        if not null_equals_null and None in key:
-            key = ("\0tid", tid)
-        groups.setdefault(key, []).append((tid, row[rhs]))
-    out = set()
-    for members in groups.values():
-        counts = Counter(v for _, v in members)
-        best = max(counts.values())
-        tied = sorted((v for v, c in counts.items() if c == best),
-                      key=lambda v: (v is None, v))
-        majority = tied[0] if len(tied) == 1 else rng.choice(tied)
-        out.update(tid for tid, v in members if v != majority)
-    return out
-
-
-class RowUnionFind:
-    """The reference's own union-find over tids, one union at a time."""
-
-    def __init__(self, tids):
-        self.parent = {tid: tid for tid in tids}
-
-    def find(self, tid):
-        while self.parent[tid] != tid:
-            tid = self.parent[tid]
-        return tid
-
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
-
-    def classes(self):
-        by_root = {}
-        for tid in self.parent:
-            by_root.setdefault(self.find(tid), []).append(tid)
-        return sorted((sorted(c) for c in by_root.values()),
-                      key=lambda c: c[0])
-
-
-def fix_reference(rel, rows, fd, forest, fn, rng, null_equals_null):
-    """Row-by-row fix on ``rows`` (mutated) with single unions in
-    ``forest``, a ``RowUnionFind``; returns the number of fixes."""
-    lhs = list(map(rel.schema.index, sorted(fd.lhs)))
-    rhs = rel.schema.index(fd.rhs)
-    first = {}
-    for tid, row in zip(rel.tids, rows):
-        key = tuple(row[i] for i in lhs)
-        if null_equals_null or None not in key:
-            forest.union(tid, first.setdefault(key, tid))
-    by_tid = dict(zip(rel.tids, rows))
-    fixes = 0
-    for cls in forest.classes():
-        members = [by_tid[t] for t in cls]
-        values = [row[rhs] for row in members]
-        if len(set(values)) <= 1:
-            continue
-        nulls = [sum(c is None for c in row) for row in members]
-        v_fix = fn(values, nulls, len(rel.schema), rng)
-        for row in members:
-            row[rhs] = v_fix
-        fixes += 1
-    return fixes
-
-
 # A user-supplied, non-voting function, called once per class: its pick
 # depends on the bag's order, the NULL counts and the rng.
 FEWEST_NULLS = RepairFunction("fewest-nulls", True, lambda vs, ns, w, rng: vs[
@@ -288,7 +216,8 @@ def test_vio_and_fix_match_row_loop_reference(rows, fn, null_equals_null,
             for fd in (FD(frozenset("a"), "c"), FD(frozenset("ab"), "c")):
                 got_rng, ref_rng = random.Random(seed), random.Random(seed)
                 assert vio(rel, fd.rhs, [fd], got_rng, null_equals_null) == \
-                    vio_fd_reference(rel, fd, ref_rng, null_equals_null)
+                    vio_fd_reference(rel, ref_rows, fd, ref_rng,
+                                     null_equals_null)
                 assert got_rng.getstate() == ref_rng.getstate()
             forest = DisjointSetForest(len(tids))
             ref_forest = RowUnionFind(tids)
@@ -629,12 +558,23 @@ def null_pair():
                  FD(frozenset("a"), "b"), FD(frozenset("b"), "a")]
 
 
-def unary_revisions(rel, fds, cls, skip, **kwargs):
-    """Polls past the first of the unary FDs in one ``mv`` class repair."""
-    stats = priority_repair(rel.copy(), fds, cls,
-                            resolve_functions(rel.schema, "mv"),
-                            random.Random(0), skip_unary_revision=skip,
-                            **kwargs)
+def class_runs(rel, fds, cls, fn="mv", seed=0, null_equals_null=True):
+    """One class repaired by the engine and by the row loop making every
+    revision, each on its own copy from the same seed: ((the engine's
+    relation, its RepairStats), (the row loop's rows, its RepairStats))."""
+    work, rows = rel.copy(), rel.rows
+    functions = resolve_functions(rel.schema, fn)
+    stats = priority_repair(work, fds, cls, functions, random.Random(seed),
+                            null_equals_null=null_equals_null)
+    reference = priority_reference(rel, rows, fds, cls, functions,
+                                   random.Random(seed),
+                                   null_equals_null=null_equals_null,
+                                   every_revision=True)
+    return (work, stats), (rows, reference)
+
+
+def unary_revisions(stats):
+    """Polls past the first of the unary FDs in one class repair."""
     return sum(n - 1 for fd, n in stats.polls_per_fd.items()
                if len(fd.lhs) == 1)
 
@@ -648,8 +588,8 @@ def test_skip_revision_unary_rules():
     # the class-level rule: each fixture revises a unary FD when every
     # revision is made; the shortcut then saves all of them or none
     def revisions(rel, fds, cls, **kwargs):
-        taken, reference = (unary_revisions(rel, fds, cls, skip, **kwargs)
-                            for skip in (True, False))
+        (_, taken), (_, reference) = class_runs(rel, fds, cls, **kwargs)
+        taken, reference = unary_revisions(taken), unary_revisions(reference)
         assert reference > 0
         return taken, reference
 
@@ -683,16 +623,10 @@ def test_skip_rule_matches_no_skip_output():
     for tid, row in enumerate(rows, 1):
         rel.append(tid, row)
     fds = [FD(frozenset("a"), "b"), FD(frozenset("b"), "a")]
-    outs = []
-    for skip in (True, False):
-        work = rel.copy()
-        fns = resolve_functions(work.schema, "mv")
-        priority_repair(work, fds, ["a", "b"], fns, random.Random(9),
-                        skip_unary_revision=skip)
-        for fd in fds:
-            assert violates(work, fd) == []
-        outs.append(work.rows)
-    assert outs[0] == outs[1]
+    (work, _), (reference, _) = class_runs(rel, fds, ["a", "b"], seed=9)
+    for fd in fds:
+        assert violates(work, fd) == []
+    assert work.rows == reference
 
 
 def test_null_unequal_pair_takes_no_shortcut():
@@ -700,18 +634,13 @@ def test_null_unequal_pair_takes_no_shortcut():
     # in a two-attribute class: the {a, b} class makes both revisions and
     # repairs as the run making every revision does
     rel, fds = null_pair()
-    outs = []
-    for skip in (True, False):
-        work = rel.copy()
-        stats = priority_repair(work, fds, ["a", "b"],
-                                resolve_functions(work.schema, "mv"),
-                                random.Random(0), null_equals_null=False,
-                                skip_unary_revision=skip)
-        for fd in fds:
-            assert violates(work, fd, False) == []
-        assert stats.revisions == 2
-        outs.append(work.rows)
-    assert outs[0] == outs[1]
+    (work, stats), (reference, ref_stats) = class_runs(
+        rel, fds, ["a", "b"], null_equals_null=False)
+    for fd in fds:
+        assert violates(work, fd, False) == []
+    assert stats.revisions == 2
+    assert stats == ref_stats
+    assert work.rows == reference
 
 
 @settings(max_examples=50, deadline=None)
@@ -721,8 +650,9 @@ def test_null_unequal_pair_takes_no_shortcut():
 def test_shortcut_changes_nothing(seed):
     # every cover FD of a class holds once the class is repaired, and
     # swipe (whose final check raises on a violated input FD) gives the
-    # same output with the unary-revision shortcut as without it; seeds 7
-    # and 130 differed when the shortcut was taken in every class
+    # same output with the unary-revision shortcut as the row loop making
+    # every revision; seeds 7 and 130 differed when the shortcut was taken
+    # in every class
     rel, fds = random_instance(seed)
     for null_equals_null in (True, False):
         cover, part, _ = plan(fds, rel.schema, null_equals_null)
@@ -736,27 +666,12 @@ def test_shortcut_changes_nothing(seed):
                 for fd in fds_i:
                     assert violates(work, fd, null_equals_null) == [], (
                         fn, null_equals_null, fd)
-            taken, reference = (
-                swipe(rel, fds, repair_fn=fn, seed=seed,
-                      null_equals_null=null_equals_null,
-                      skip_unary_revision=skip).repaired.rows
-                for skip in (True, False))
+            taken = swipe(rel, fds, repair_fn=fn, seed=seed,
+                          null_equals_null=null_equals_null).repaired.rows
+            reference, _, _ = swipe_reference(rel, fds, fn, seed,
+                                              null_equals_null,
+                                              every_revision=True)
             assert taken == reference, (fn, null_equals_null)
-
-
-def planted_cycle(k, seed, null_rate=0.1):
-    """Relation over p, c1..ck with random cells from a three-symbol domain
-    (NULL at ``null_rate``), the unary cycle c1 -> c2 -> ... -> ck -> c1 and
-    the pilot FD p -> c1."""
-    rng = random.Random(seed)
-    cycle = ["c%d" % i for i in range(1, k + 1)]
-    rel = Relation(Schema(["p"] + cycle))
-    for tid in range(1, rng.randint(20, 60) + 1):
-        rel.append(tid, [None if rng.random() < null_rate
-                         else str(rng.randrange(3)) for _ in range(k + 1)])
-    fds = [FD(frozenset({"p"}), "c1")]
-    fds += [FD(frozenset({a}), b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
-    return rel, fds, cycle
 
 
 @pytest.mark.parametrize("null_equals_null", [True, False])
@@ -764,24 +679,17 @@ def planted_cycle(k, seed, null_rate=0.1):
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_priority_repair_cyclic_class_revision_free(k, fn, null_equals_null):
     # the unary-revision shortcut holds on cyclic classes of 3+ attributes:
-    # each FD is polled once, nothing is revised, and skipping changes nothing
+    # each FD is polled once, nothing is revised, and the output is that of
+    # the row loop making every revision
     for seed in range(15):
         rel, fds, cycle = planted_cycle(k, seed)
-        outs = []
-        for skip in (True, False):
-            work = rel.copy()
-            stats = priority_repair(work, fds, cycle,
-                                    resolve_functions(work.schema, fn),
-                                    random.Random(seed),
-                                    null_equals_null=null_equals_null,
-                                    skip_unary_revision=skip)
-            for fd in fds:
-                assert violates(work, fd, null_equals_null) == [], (seed, fd)
-            outs.append(work.rows)
-            if skip:
-                assert stats.revisions == 0, seed
-                assert dict(stats.polls_per_fd) == dict.fromkeys(fds, 1), seed
-        assert outs[0] == outs[1], seed
+        (work, stats), (reference, _) = class_runs(rel, fds, cycle, fn, seed,
+                                                   null_equals_null)
+        for fd in fds:
+            assert violates(work, fd, null_equals_null) == [], (seed, fd)
+        assert stats.revisions == 0, seed
+        assert dict(stats.polls_per_fd) == dict.fromkeys(fds, 1), seed
+        assert work.rows == reference, seed
 
 
 def test_poll_of_an_unchanged_forest_skips_the_rewrite():
@@ -847,22 +755,15 @@ def test_shared_forest_keeps_its_record_per_rhs(rows, order, null_equals_null,
     rel = Relation(Schema(["a", "b", "c"]), range(1, len(rows) + 1), rows)
     functions = dict.fromkeys("abc", MV)
     assert shares_forest("abc", fds, functions)
-    ref_rows = [list(row) for row in rel.rows]
-    forest = RowUnionFind(rel.tids)
-    for fd in fds:
-        (i,) = map(rel.schema.index, fd.lhs)
-        first = {}
-        for tid, row in zip(rel.tids, ref_rows):
-            if null_equals_null or row[i] is not None:
-                forest.union(tid, first.setdefault(row[i], tid))
-    ref_rng = random.Random(seed)
-    for fd in sorted(fds, key=lambda fd: order.index(fd.rhs)):
-        fix_reference(rel, ref_rows, fd, forest, MV, ref_rng,
-                      null_equals_null)
+    ref_rows, ref_rng = rel.rows, random.Random(seed)
+    reference = priority_reference(rel, ref_rows, fds, list("abc"), functions,
+                                   ref_rng, priority=list(order),
+                                   null_equals_null=null_equals_null)
     rng = random.Random(seed)
     stats = priority_repair(rel, fds, list("abc"), functions, rng,
                             priority=list(order),
                             null_equals_null=null_equals_null)
     assert rel.rows == ref_rows
     assert rng.getstate() == ref_rng.getstate()
+    assert stats == reference
     assert dict(stats.polls_per_fd) == dict.fromkeys(fds, 1)

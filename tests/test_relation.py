@@ -108,6 +108,9 @@ def test_malformed_relation_errors():
         Schema(["a", "a"])
     assert str(exc.value) == "duplicate attribute names: ['a', 'a']"
     with pytest.raises(SchemaError) as exc:
+        Schema(["a", 1, 2])
+    assert str(exc.value) == "attribute names must be str, not 1"
+    with pytest.raises(SchemaError) as exc:
         Schema(["a"]).index("b")
     assert str(exc.value) == "unknown attribute 'b'"
     with pytest.raises(ValueError) as exc:
