@@ -5,11 +5,19 @@ right-hand side attribute. Minimal covers are computed deterministically
 given input order, by closures on attribute bit masks.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .relation import NULL, SchemaError
+
+# a double-quoted name, with the spaces around it
+_QUOTED = re.compile(r'\s*"([^"]*)"\s*')
+_LHS_END = re.compile(",|->")  # what ends an lhs name
+# a rule line up to its first # outside double quotes; a " that no later "
+# closes is a plain character
+_RULE = re.compile(r'(?:"[^"]*"|[^#"]|")*')
 
 
 @dataclass(frozen=True)
@@ -132,13 +140,34 @@ def violates(rel, fd, null_equals_null=True):
     return list(groups.values())
 
 
+def _name(text):
+    """The name ``text`` gives: the characters between its quotes when it
+    is one double-quoted name, else ``text`` stripped."""
+    quoted = _QUOTED.fullmatch(text)
+    return quoted[1] if quoted else text.strip()
+
+
 def parse_fd(line, schema=None):
-    """Parse one ``lhs1,lhs2 -> rhs`` expression."""
-    if "->" not in line:
-        raise ValueError("malformed FD %r: expected 'lhs -> rhs'" % (line,))
-    lhs_text, _, rhs_text = line.partition("->")
-    lhs = [a.strip() for a in lhs_text.split(",") if a.strip()]
-    rhs = rhs_text.strip()
+    """Parse one ``lhs1,lhs2 -> rhs`` expression.
+
+    A name that starts with ``"`` (after spaces) and closes it is read
+    verbatim between the quotes, so it may hold ``,``, ``->`` or ``#``.
+    Every other name is stripped. The lhs is split at its commas up to the
+    first ``->`` outside a quoted name; the rhs is the rest of the line.
+    """
+    lhs, pos = [], 0
+    while True:
+        quoted = _QUOTED.match(line, pos)
+        sep = _LHS_END.search(line, quoted.end() if quoted else pos)
+        if sep is None:
+            raise ValueError("malformed FD %r: expected 'lhs -> rhs'"
+                             % (line,))
+        lhs.append(_name(line[pos:sep.start()]))
+        pos = sep.end()
+        if sep[0] == "->":
+            break
+    lhs = [a for a in lhs if a]
+    rhs = _name(line[pos:])
     if not lhs or not rhs:
         raise ValueError("malformed FD %r: empty side" % (line,))
     if schema is not None:
@@ -149,17 +178,18 @@ def parse_fd(line, schema=None):
 
 
 def rule_lines(lines):
-    """The rules in a rule file's ``lines``: ``#`` starts a comment, and a
-    line left blank holds no rule. Shared by FD, fn-map and priority files."""
+    """The rules in a rule file's ``lines``: ``#`` outside double quotes
+    starts a comment, and a line left blank holds no rule. Shared by FD,
+    fn-map and priority files; only FD files read quoted names."""
     for raw in lines:
-        line = raw.split("#", 1)[0].strip()
+        line = _RULE.match(raw)[0].strip()
         if line:
             yield line
 
 
 def parse_fds(text, schema=None):
-    """Parse an FD file body: one FD per line, ``#`` starts a comment.
-    Repeats are dropped."""
+    """Parse an FD file body: one FD per line, ``#`` outside double quotes
+    starts a comment. Repeats are dropped."""
     return list(dict.fromkeys(parse_fd(line, schema)
                               for line in rule_lines(text.splitlines())))
 
@@ -169,15 +199,29 @@ def load_fds(path, schema=None):
         return parse_fds(fh.read(), schema)
 
 
+def _fd_line(fd):
+    """``fd``'s line in an FD file: ``str(fd)``, with each name that holds
+    ``#``, ``,`` or ``->`` or has spaces at either end in double quotes."""
+    def name(a):
+        plain = a == a.strip() and not re.search("#|,|->", a)
+        return a if plain else '"%s"' % a
+    return "%s -> %s" % (",".join(map(name, sorted(fd.lhs))), name(fd.rhs))
+
+
 def save_fds(fds, path):
-    """Write ``fds`` one per line. Raises ValueError, before writing, for
-    an FD whose line would read back as another FD or as none, as when an
-    attribute name holds ``#``, ``,`` or ``->``."""
+    """Write ``fds`` one per line, quoting names as ``_fd_line`` does.
+    Raises ValueError, before writing, for an FD with a name that holds
+    ``"`` or whose line would read back as another FD or as none, as an
+    empty name or one that holds a line break would."""
     for fd in fds:
-        if parse_fds(str(fd)) != [fd]:
-            raise ValueError("FD %r cannot be written to an FD file: its "
-                             "line would not read back as the same FD"
-                             % str(fd))
+        try:
+            back = parse_fds(_fd_line(fd))
+        except ValueError:  # as with an empty name on either side
+            back = None
+        if back != [fd] or any('"' in a for a in fd.attributes):
+            raise ValueError("FD %r cannot be written to an FD file: a "
+                             "name holds '\"', or its line would not read "
+                             "back as the same FD" % str(fd))
     with open(path, "w", encoding="utf-8") as fh:
         for fd in fds:
-            fh.write(str(fd) + "\n")
+            fh.write(_fd_line(fd) + "\n")

@@ -22,7 +22,9 @@ from itertools import chain, count, islice
 import numpy as np
 
 NULL = 0  # the code of NULL in every attribute
-# rows per save_csv write and per csv.reader block of load_csv; its split
+# rows per save_csv write and per csv.reader block of load_csv, and the
+# most entries a save_csv run's table may have (fewer when the relation has
+# fewer rows), so a table never outgrows a block; load_csv's split
 # blocks are _CHUNK_ROWS * 64 characters, as numpy's cost per call needs
 # large blocks: 16 and 32 per row loaded a 50k x 8 file slower. With the
 # word cache, 128 and 256 per row load that file faster (38.4 and 38.0 ms
@@ -675,6 +677,28 @@ def _written(values, width):
     return list(map(escape, values))
 
 
+def _runs(fields, bound):
+    """``fields``, one (codes, strings) pair per attribute in order, as
+    runs of adjacent attributes. The strings are the attribute's written
+    values with their separators, indexed by code.
+
+    A run takes the next attribute while the product of its string arrays'
+    lengths stays at or below ``bound``. It is its attributes' (codes,
+    length) pairs and one table, which joins each combination of their
+    strings at the key ``((c1 * k2) + c2) * k3 + ...`` of their codes ``c``
+    and lengths ``k``. A run of one attribute tables its own strings.
+    """
+    runs = []
+    for codes, field in fields:
+        if runs and len(runs[-1][1]) * len(field) <= bound:
+            parts, table = runs[-1]
+            runs[-1] = (parts + [(codes, len(field))],
+                        np.add.outer(table, field).ravel())
+        else:
+            runs.append(([(codes, len(field))], field))
+    return runs
+
+
 def save_csv(rel, path, null_token="", tid_column=None):
     """Write a relation to CSV; NULL cells are emitted as ``null_token``.
 
@@ -684,16 +708,22 @@ def save_csv(rel, path, null_token="", tid_column=None):
     Output is written from the dictionaries, not cell by cell: each
     attribute's values are escaped once, as ``csv.writer`` writes them, and
     followed by the field's separator (``,``, or ``\\r\\n`` after the last
-    field). Each block of rows indexes those strings with its codes into one
-    object grid, written with one join. The bytes are ``csv.writer``'s.
+    field). Adjacent attributes whose dictionaries' sizes multiply to at
+    most ``min(len(rel), _CHUNK_ROWS)`` form a run (see ``_runs``), whose
+    joined strings are tabled once, so a block writes one cell per run, not
+    per attribute. Each block of rows indexes the tables with keys from its
+    codes into one object grid, written with one join. The bytes are
+    ``csv.writer``'s.
     """
     header = [tid_column] * (tid_column is not None) + rel.schema.attributes
     width = len(header)
     first = width - len(rel.schema)  # the first attribute's field
     ends = [","] * (width - 1) + ["\r\n"]
-    fields = [np.array(_written([null_token, *rel.values(a)[1:]], width),
-                       dtype=object) + end
-              for a, end in zip(rel.schema.attributes, ends[first:])]
+    runs = _runs([(rel.codes(a),
+                   np.array(_written([null_token, *rel.values(a)[1:]], width),
+                            dtype=object) + end)
+                  for a, end in zip(rel.schema.attributes, ends[first:])],
+                 min(len(rel), _CHUNK_ROWS))
     tids = rel.tid_array()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_written(header, width)) + "\r\n")
@@ -701,11 +731,13 @@ def save_csv(rel, path, null_token="", tid_column=None):
             fh.write("\r\n" * len(rel))
         for start in range(0, len(rel), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            grid = np.empty((len(tids[rows]), width), dtype=object)
+            grid = np.empty((len(tids[rows]), first + len(runs)), dtype=object)
             if first:  # a tid is an integer, which csv.writer never quotes
                 grid[:, 0] = list(map(("%d" + ends[0]).__mod__,
                                       tids[rows].tolist()))
-            for j, (a, field) in enumerate(zip(rel.schema.attributes, fields),
-                                           first):
-                grid[:, j] = field[rel.codes(a)[rows]]
+            for j, (parts, table) in enumerate(runs, first):
+                key = 0
+                for codes, k in parts:
+                    key = key * k + codes[rows]
+                grid[:, j] = table[key]
             fh.write("".join(grid.ravel().tolist()))

@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from fdrepair import load_csv, load_fds, swipe
+from fdrepair import load_csv, load_fds, save_csv, save_fds, swipe
 from fdrepair.cli import main
 from fdrepair.fds import minimal_cover, violates
 from fdrepair.priority import pilot_fds
@@ -40,6 +40,22 @@ def test_repair_end_to_end(workdir):
     repaired = load_csv(out)
     for fd in load_fds(workdir / "rules.txt", repaired.schema):
         assert violates(repaired, fd) == []
+
+
+def test_repair_reads_quoted_fd_names(tmp_path, hospital_snippet,
+                                      hospital_fds):
+    # the snippet's '#provider' is written quoted by save_fds, so the CLI
+    # repairs over it as the library does
+    data, rules = tmp_path / "data.csv", tmp_path / "rules.txt"
+    save_csv(hospital_snippet, data, tid_column="tid")
+    save_fds(hospital_fds, rules)
+    assert '"#provider"' in rules.read_text()
+    out = tmp_path / "repaired.csv"
+    assert main(["repair", "--data", str(data), "--fds", str(rules),
+                 "--tid-column", "tid", "--out", str(out),
+                 "--seed", "1"]) == 0
+    expected = swipe(hospital_snippet, hospital_fds, seed=1).repaired
+    assert load_csv(out, tid_column="tid").rows == expected.rows
 
 
 def test_repair_report_matches_schema(workdir):

@@ -230,20 +230,93 @@ def test_parse_fds_comments_and_blanks():
 
 
 def test_save_fds_round_trips(tmp_path):
-    fds = [fd(["hospital name", "city"], "zip code"), fd("a", "b")]
+    # names that hold #, "," or -> or have spaces at an end are quoted
+    fds = [fd(["hospital name", "city"], "zip code"), fd("a", "b"),
+           fd(["#provider", "zip"], "city"), fd(["b,c"], "a -> b"),
+           fd([" lead"], "trail ")]
     save_fds(fds, tmp_path / "f.txt")
+    assert (tmp_path / "f.txt").read_text() == (
+        'city,hospital name -> zip code\na -> b\n"#provider",zip -> city\n'
+        '"b,c" -> "a -> b"\n" lead" -> "trail "\n')
     assert load_fds(tmp_path / "f.txt") == fds
 
 
-@pytest.mark.parametrize("bad", [fd("#provider", "hospital name"),
-                                 fd("a,b", "c")])
+@pytest.mark.parametrize("bad", [fd(['say "hi"'], "hospital name"),
+                                 fd(["a"], 'q"'), fd(["", "a"], "b")])
 def test_save_fds_refuses_an_fd_that_reads_back_otherwise(bad, tmp_path):
-    # '#provider -> hospital name' would read back as a comment, and
-    # 'a,b -> c' with the lhs {a, b}
+    # a name holding '"' is refused, though 'a -> q"' would read back; and
+    # an empty name would be dropped from the lhs, quoted or not
     path = tmp_path / "f.txt"
     with pytest.raises(ValueError, match="FD '%s'" % bad):
         save_fds([fd("a", "b"), bad], path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("line, parsed", [
+    ('"#provider" -> city', fd(["#provider"], "city")),
+    ('"b,c" -> d', fd(["b,c"], "d")),
+    (' zip , "#provider" -> " city "  # a comment', fd(["zip", "#provider"],
+                                                       " city ")),
+    ('"a -> b", c -> "d, #e"', fd(["a -> b", "c"], "d, #e")),
+    ('q" -> c', fd(['q"'], "c")),  # a " that no name starts is a character
+    ('"a"b, "c -> d', fd(['"a"b', '"c'], "d")),  # as is a quote left open
+    ("#provider -> city\na -> b  #, c -> d", fd(["a"], "b")),  # comments
+])
+def test_parse_fds_reads_quoted_names(line, parsed):
+    assert parse_fds(line) == [parsed]
+
+
+def parse_fds_unquoted_reference(text):
+    """The FD-file parse before quoted names: each line cut at its first
+    ``#``, then split at its first ``->``, and its lhs at each comma."""
+    out = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "->" not in line:
+            raise ValueError("malformed FD %r: expected 'lhs -> rhs'" % line)
+        lhs_text, _, rhs = line.partition("->")
+        lhs = [a.strip() for a in lhs_text.split(",") if a.strip()]
+        if not lhs or not rhs.strip():
+            raise ValueError("malformed FD %r: empty side" % line)
+        out.append(FD(frozenset(lhs), rhs.strip()))
+    return list(dict.fromkeys(out))
+
+
+@settings(max_examples=more(200))
+@given(st.text(alphabet="ab #,->\t\n"))
+def test_unquoted_lines_parse_as_before(text):
+    # a line with no '"' parses, or fails, exactly as before quoted names
+    try:
+        expected = parse_fds_unquoted_reference(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            parse_fds(text)
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_fds(text) == expected
+
+
+NAME = st.text(alphabet='ab #,->" \t\n', max_size=5)
+
+
+@settings(max_examples=more(200))
+@given(st.lists(st.builds(FD, st.frozensets(NAME, min_size=1, max_size=3),
+                          NAME), unique=True, max_size=4))
+def test_save_fds_round_trips_every_name_it_accepts(tmp_path_factory, fds):
+    # every FD whose names are non-empty and free of '"' and line breaks
+    # reads back as itself, and any other is refused before the file is
+    # written
+    path = tmp_path_factory.mktemp("fds") / "f.txt"
+    if any('"' in a or "\n" in a or not a
+           for f in fds for a in f.attributes):
+        with pytest.raises(ValueError, match="cannot be written"):
+            save_fds(fds, path)
+        assert not path.exists()
+    else:
+        save_fds(fds, path)
+        assert load_fds(path) == fds
 
 
 def test_fd_rejects_an_empty_lhs():
@@ -275,6 +348,8 @@ def test_parse_fd_rejects_malformed():
         parse_fd("a b c")
     with pytest.raises(ValueError):
         parse_fd(" -> c")
+    with pytest.raises(ValueError, match="expected 'lhs -> rhs'"):
+        parse_fd('"a -> b"')  # its only -> is inside a name
 
 
 def test_parse_fd_checks_schema():

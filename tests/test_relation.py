@@ -1,13 +1,15 @@
 import csv
 import gc
 import io
+import itertools
+import math
 import re
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdrepair import (FD, Relation, Schema, SchemaError, evaluate, load_csv,
                       save_csv, swipe)
@@ -955,6 +957,102 @@ def test_save_csv_bytes_match_csv_writer(tmp_path, attrs, tid_column,
     save_csv(Relation(Schema(attrs), tids, rows), out, null_token=null_token,
              tid_column=tid_column)
     assert out.read_bytes() == ref.read_bytes()
+
+
+def runs_reference(sizes, bound):
+    """``save_csv``'s runs, as lists of dictionary sizes: an attribute joins
+    the run before it while the run's product stays at most ``bound``."""
+    runs = []
+    for k in sizes:
+        if runs and math.prod(runs[-1]) * k <= bound:
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    return runs
+
+
+@st.composite
+def run_relations(draw):
+    """1-6 attributes of 1-70 values each, every value in the dictionary
+    whether a row uses it or not, and a row count and block size around
+    the product of some adjacent attributes' dictionary sizes (which count
+    NULL), around the block size, or 0 rows."""
+    sizes = draw(st.lists(st.integers(2, 71), min_size=1, max_size=6))
+    near = sorted({max(math.prod(sizes[i:j]) + d, 1)
+                   for i in range(len(sizes))
+                   for j in range(i + 1, len(sizes) + 1) for d in (-1, 0, 1)
+                   if math.prod(sizes[i:j]) <= 2 * _CHUNK_ROWS})
+    chunk_rows = draw(st.one_of(st.just(_CHUNK_ROWS), st.sampled_from(near)))
+    n = draw(st.sampled_from([0, 1, chunk_rows - 1, chunk_rows,
+                              chunk_rows + 1, 2 * chunk_rows + 3, *near]))
+    pool = [v for v in AWKWARD if v is not None] + ["v%d" % i
+                                                    for i in range(70)]
+    values = [[None, *draw(st.permutations(pool))[:k - 1]] for k in sizes]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [[vals[c] for vals, c in zip(values, codes)]
+            for codes in zip(*(rng.integers(0, k, n).tolist()
+                               for k in sizes))]
+    return values, rows, chunk_rows
+
+
+@settings(deadline=None)
+@given(run_relations(), st.sampled_from(["", "<NULL>"]),
+       st.sampled_from([None, "tid"]), st.booleans())
+@example(([[None, *map(str, range(63))]] * 2, [], _CHUNK_ROWS), "", None,
+         False)  # no rows: no run
+@example(([[None, *map(str, range(63))]] * 2 + [[None, "x"]],
+          [["1", "2", "x"]] * (_CHUNK_ROWS + 5), _CHUNK_ROWS), "", "tid",
+         False)  # 64 * 64 is the block's rows, and a third would be over
+@example(([[None, *map(str, range(k))] for k in (4, 6, 5, 5)],
+          [["1", "2", "3", None]] * 35, _CHUNK_ROWS), "<NULL>", None,
+         False)  # 5 * 7 is the 35 rows, and 6 * 6 one over
+def test_save_csv_runs_match_csv_writer(tmp_path_factory, relation_case,
+                                        null_token, tid_column, shared):
+    # a run of adjacent attributes writes one joined string per row from a
+    # table keyed by their codes; the runs must be save_csv's rule, and
+    # the bytes csv.writer's
+    values, rows, chunk_rows = relation_case
+    attrs = ["a%d" % j for j in range(len(values))]
+    tids = [3 * i - 5 for i in range(len(rows))]
+    rel = Relation(Schema(attrs), tids, rows)
+    for a, vals in zip(attrs, values):
+        rel.encode_all(a, vals)  # the values no row uses enter too
+    if shared and rows:
+        # a repair's output shares its input's dictionaries, so each
+        # holds the values the output no longer uses
+        out = rel.copy()
+        out.set(tids[0], attrs[0], "new")
+        rows = [list(row) for row in rows]
+        rows[0][0] = "new"
+        rel = out
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([tid_column] * (tid_column is not None) + attrs)
+    for tid, row in zip(tids, rows):
+        writer.writerow([tid] * (tid_column is not None)
+                        + [null_token if v is None else v for v in row])
+    formed = []
+
+    def runs(fields, bound):
+        formed.append(([len(field) for _, field in fields], bound))
+        out = runs_of(fields, bound)
+        for parts, table in out:  # each table holds every joined combination
+            combos = itertools.product(*(f for _, f in fields[:len(parts)]))
+            assert table.tolist() == ["".join(c) for c in combos]
+            fields = fields[len(parts):]
+        formed.append([[k for _, k in parts] for parts, _ in out])
+        return out
+    runs_of = relation._runs
+    path = tmp_path_factory.mktemp("runs") / "out.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation, "_CHUNK_ROWS", chunk_rows)
+        mp.setattr(relation, "_runs", runs)
+        save_csv(rel, path, null_token=null_token, tid_column=tid_column)
+    (sizes, bound), got = formed
+    assert sizes == [len(rel.values(a)) for a in attrs]
+    assert bound == min(len(rows), chunk_rows)
+    assert got == runs_reference(sizes, bound)
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_zero_attribute_csv_round_trip(tmp_path):
